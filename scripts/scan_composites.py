@@ -9,10 +9,10 @@ the naive count on its witness before being reported.
 """
 
 import argparse
-import json
 import sys
 import time
 
+from addtriples.cli import render_json, scan_payload
 from addtriples.spectrum import exception_scan
 
 
@@ -49,27 +49,8 @@ def main() -> int:
                   f"r={value} ({side})  A={list(a)} B={list(b)}")
 
     if args.json_path:
-        payload = {
-            "p_min": result.p_min,
-            "p_max": result.p_max,
-            "budget": result.budget,
-            "instances_run": result.instances_run,
-            "skipped": [list(item) for item in result.skipped],
-            "records": [
-                {
-                    "p": r.p, "s": r.s, "t": r.t, "f": r.f, "g": r.g,
-                    "exceptions": list(r.values),
-                    "witnesses": [
-                        {"value": v, "witness_a": list(a), "witness_b": list(b)}
-                        for v, (a, b) in sorted(r.witnesses.items())
-                    ],
-                }
-                for r in result.records
-            ],
-        }
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(render_json(scan_payload(result)))
         print(f"\nfull records written to {args.json_path}")
     return 0
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counting import layer_sizes
-from .residues import DomainError, Params, ResidueSet, check_modulus, is_prime
+from .residues import DomainError, Params, ResidueSet, check_modulus, common_modulus, is_prime
 
 
 def _ceil_div4(x):
@@ -122,13 +122,17 @@ class InequalityCheck(NamedTuple):
     rhs: int
 
 
+def _prime_modulus(a_set: ResidueSet, b_set: ResidueSet, inequality: str) -> int:
+    """The shared modulus of two sets, which the named inequality needs to be prime."""
+    p = common_modulus(a_set, b_set)
+    if not is_prime(p):
+        raise DomainError(f"the {inequality} inequality is only guaranteed for prime p, got p={p}")
+    return p
+
+
 def cauchy_davenport_check(a_set: ResidueSet, b_set: ResidueSet) -> InequalityCheck:
     """|A + B| >= min(p, |A| + |B| - 1). Requires prime p and nonempty sets."""
-    if a_set.modulus != b_set.modulus:
-        raise DomainError("sets have different moduli")
-    p = a_set.modulus
-    if not is_prime(p):
-        raise DomainError(f"the sumset inequality is only guaranteed for prime p, got p={p}")
+    p = _prime_modulus(a_set, b_set, "sumset")
     if not a_set.cardinality or not b_set.cardinality:
         raise DomainError("the sumset inequality requires nonempty sets")
     lhs = a_set.sumset(b_set).cardinality
@@ -136,34 +140,27 @@ def cauchy_davenport_check(a_set: ResidueSet, b_set: ResidueSet) -> InequalityCh
     return InequalityCheck(lhs >= rhs, lhs, rhs)
 
 
-def pollard_check(
-    a_set: ResidueSet, b_set: ResidueSet, j: int, sizes: list[int] | None = None
-) -> InequalityCheck:
-    """sum_{i<=j} |S_i| >= j min(p, s+t-j). Requires prime p and 1 <= j <= min(s, t).
-
-    Pass precomputed ``sizes`` (from :func:`addtriples.counting.layer_sizes`)
-    when sweeping j over one pair.
-    """
-    if a_set.modulus != b_set.modulus:
-        raise DomainError("sets have different moduli")
-    p = a_set.modulus
-    if not is_prime(p):
-        raise DomainError(f"the layer inequality is only guaranteed for prime p, got p={p}")
-    s, t = a_set.cardinality, b_set.cardinality
-    if not 1 <= j <= min(s, t):
-        raise DomainError(f"need 1 <= j <= min(s, t) = {min(s, t)}, got j={j}")
-    if sizes is None:
-        sizes = layer_sizes(a_set, b_set)
-    lhs = sum(sizes[:j])  # layers beyond the list are empty
-    rhs = j * min(p, s + t - j)
-    return InequalityCheck(lhs >= rhs, lhs, rhs)
+def pollard_check(a_set: ResidueSet, b_set: ResidueSet, j: int) -> InequalityCheck:
+    """sum_{i<=j} |S_i| >= j min(p, s+t-j). Requires prime p and 1 <= j <= min(s, t)."""
+    top = min(a_set.cardinality, b_set.cardinality)
+    if not 1 <= j <= top:
+        raise DomainError(f"need 1 <= j <= min(s, t) = {top}, got j={j}")
+    return pollard_check_sweep(a_set, b_set)[j - 1]
 
 
 def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[InequalityCheck]:
-    """The layer inequality at every admissible j for one pair."""
+    """The layer inequality at every j = 1..min(s, t), from one running prefix sum."""
+    p = _prime_modulus(a_set, b_set, "layer")
+    s, t = a_set.cardinality, b_set.cardinality
     sizes = layer_sizes(a_set, b_set)
-    top = min(a_set.cardinality, b_set.cardinality)
-    return [pollard_check(a_set, b_set, j, sizes=sizes) for j in range(1, top + 1)]
+    checks = []
+    lhs = 0
+    for j in range(1, min(s, t) + 1):
+        if j <= len(sizes):  # layers beyond the list are empty
+            lhs += sizes[j - 1]
+        rhs = j * min(p, s + t - j)
+        checks.append(InequalityCheck(lhs >= rhs, lhs, rhs))
+    return checks
 
 
 # -- vectorised grids ---------------------------------------------------------

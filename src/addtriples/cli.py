@@ -21,7 +21,9 @@ from .residues import DomainError, VerificationError, make_set
 from .spectrum import (
     DEFAULT_PAIR_BUDGET,
     BudgetExceededError,
+    ScanResult,
     SpectrumReport,
+    Witness,
     exception_scan,
     schur_spectrum,
     spectrum_exhaustive,
@@ -133,12 +135,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _witness_rows(report: SpectrumReport) -> list[dict]:
-    if not report.witnesses:
-        return []
+def _witness_rows(witnesses: dict[int, Witness]) -> list[dict]:
     return [
         {"value": value, "witness_a": list(a), "witness_b": list(b)}
-        for value, (a, b) in sorted(report.witnesses.items())
+        for value, (a, b) in sorted(witnesses.items())
     ]
 
 
@@ -156,7 +156,7 @@ def _spectrum_payload(report: SpectrumReport, timing: bool) -> dict:
         "exceptions": list(report.exceptions),
     }
     if report.witnesses is not None:
-        payload["witnesses"] = _witness_rows(report)
+        payload["witnesses"] = _witness_rows(report.witnesses)
     if timing:
         payload["elapsed"] = report.elapsed
     return payload
@@ -237,30 +237,28 @@ def _run_schur(args):
     return _spectrum_payload(report, args.timing), [_spectrum_csv_row(report)], EXIT_OK
 
 
-def _run_scan(args):
-    result = exception_scan(args.p_min, args.p_max, budget=args.budget)
-    records = []
-    rows = []
-    for rec in result.records:
-        witnesses = [
-            {"value": value, "witness_a": list(a), "witness_b": list(b)}
-            for value, (a, b) in sorted(rec.witnesses.items())
-        ]
-        records.append({
-            "p": rec.p, "s": rec.s, "t": rec.t, "f": rec.f, "g": rec.g,
-            "exceptions": list(rec.values), "witnesses": witnesses,
-        })
-        rows.append({
-            "p": rec.p, "s": rec.s, "t": rec.t, "f": rec.f, "g": rec.g,
-            "exceptions": ";".join(map(str, rec.values)),
-        })
-    payload = {
+def scan_payload(result: ScanResult) -> dict:
+    """The JSON payload of ``scan``, also written by ``scripts/scan_composites.py``."""
+    return {
         "p_min": result.p_min, "p_max": result.p_max, "budget": result.budget,
         "instances_run": result.instances_run,
         "skipped": [list(item) for item in result.skipped],
-        "records": records,
+        "records": [
+            {"p": rec.p, "s": rec.s, "t": rec.t, "f": rec.f, "g": rec.g,
+             "exceptions": list(rec.values), "witnesses": _witness_rows(rec.witnesses)}
+            for rec in result.records
+        ],
     }
-    return payload, rows, EXIT_OK
+
+
+def _run_scan(args):
+    result = exception_scan(args.p_min, args.p_max, budget=args.budget)
+    rows = [
+        {"p": rec.p, "s": rec.s, "t": rec.t, "f": rec.f, "g": rec.g,
+         "exceptions": ";".join(map(str, rec.values))}
+        for rec in result.records
+    ]
+    return scan_payload(result), rows, EXIT_OK
 
 
 def _run_verify(args):

@@ -2,16 +2,21 @@
 
 Bit r of ``bits`` is set exactly when residue r is a member, so complement,
 shift, intersection size and sumset all reduce to word-parallel integer
-operations, which stay cheap even for moduli in the thousands. Moduli are
-odd and at least 3. Empty sets are legal here; cardinality constraints such
-as 1 <= s, t <= p-1 are enforced only at the :class:`Params` boundary.
+operations, which stay cheap even for moduli in the thousands.
+:func:`bit_positions` and :func:`pack_indicator` are the only conversions
+between a bitmask and its residues. Moduli are odd and at least 3. Empty
+sets are legal here; cardinality constraints such as 1 <= s, t <= p-1 are
+enforced only at the :class:`Params` boundary.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 # Counts r(A, B, B) can approach p^2, so they need 64-bit integers; the
 # modulus itself is capped well below that.
@@ -73,9 +78,33 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def bit_positions(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative int, ascending."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+
+
+def pack_indicator(flags: np.ndarray) -> int:
+    """The bitmask whose bit i is set exactly when ``flags[i]`` is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def common_modulus(a_set: "ResidueSet", b_set: "ResidueSet") -> int:
+    """The modulus two sets share, or :class:`IncompatibleSetsError`."""
+    if a_set.modulus != b_set.modulus:
+        raise IncompatibleSetsError(
+            f"sets have different moduli: {a_set.modulus} and {b_set.modulus}"
+        )
+    return a_set.modulus
+
+
 @dataclass(frozen=True)
 class ResidueSet:
-    """A subset of Z_p with bit-indexed membership and cached cardinality."""
+    """A subset of Z_p with bit-indexed membership, cached cardinality and member tuple.
+
+    The member tuple is derived from ``bits`` on first use; it is not a field,
+    so equality, hashing and the repr see only the modulus and the bits.
+    """
 
     modulus: int
     bits: int
@@ -94,20 +123,21 @@ class ResidueSet:
     def from_elements(cls, modulus: int, elements: Iterable[int]) -> "ResidueSet":
         """Build a set from arbitrary integers, reduced mod ``modulus``."""
         p = check_modulus(modulus)
-        bits = 0
-        for x in elements:
-            bits |= 1 << (operator.index(x) % p)
-        return cls(p, bits)
+        residues = [operator.index(x) % p for x in elements]
+        flags = np.zeros(max(residues, default=-1) + 1, dtype=bool)
+        flags[residues] = True
+        return cls(p, pack_indicator(flags))
+
+    @cached_property
+    def _members(self) -> tuple[int, ...]:
+        return bit_positions(self.bits)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(self)
+        """The members in ascending order."""
+        return self._members
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(self._members)
 
     def __len__(self) -> int:
         return self.cardinality
@@ -117,12 +147,6 @@ class ResidueSet:
 
     def __repr__(self) -> str:
         return f"ResidueSet({self.modulus}, {{{', '.join(map(str, self))}}})"
-
-    def _require_same_modulus(self, other: "ResidueSet") -> None:
-        if self.modulus != other.modulus:
-            raise IncompatibleSetsError(
-                f"sets have different moduli: {self.modulus} and {other.modulus}"
-            )
 
     def complement(self) -> "ResidueSet":
         """Z_p minus this set."""
@@ -136,13 +160,12 @@ class ResidueSet:
         return ResidueSet(p, ((self.bits << a) | (self.bits >> (p - a))) & full)
 
     def intersection_size(self, other: "ResidueSet") -> int:
-        self._require_same_modulus(other)
+        common_modulus(self, other)
         return (self.bits & other.bits).bit_count()
 
     def sumset(self, other: "ResidueSet") -> "ResidueSet":
         """{x + y mod p : x in self, y in other}; empty if either side is empty."""
-        self._require_same_modulus(other)
-        p = self.modulus
+        p = common_modulus(self, other)
         full = (1 << p) - 1
         small, big = sorted((self, other), key=len)
         acc = 0

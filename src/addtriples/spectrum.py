@@ -34,7 +34,7 @@ import numpy as np
 from . import counting
 from .bounds import lower_bound, schur_lower_bound, schur_upper_bound, upper_bound
 from .construction import build_shift_profile, shift_overlap
-from .residues import DomainError, Params, ResidueSet, VerificationError, is_prime, make_set
+from .residues import DomainError, Params, ResidueSet, VerificationError, bit_positions, is_prime, make_set
 
 DEFAULT_PAIR_BUDGET = 10**8
 
@@ -48,6 +48,11 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"estimated cost {estimated} exceeds budget {budget}")
         self.estimated = estimated
         self.budget = budget
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,7 @@ def spectrum_exhaustive(
     the C(p,t) * p overlap table) exceeds ``budget``.
     """
     params = Params(p, s, t)
+    _check_budget(budget)
     started = time.perf_counter()
     pairs = comb(p, s) * comb(p, t)
     cells = comb(p, t) * p
@@ -200,6 +206,7 @@ def spectrum_fixed_interval(
 ) -> SpectrumReport:
     """All values of r(A, B, B) over |A| = s with B frozen to {0..t-1}."""
     params = Params(p, s, t)
+    _check_budget(budget)
     started = time.perf_counter()
     n_sets = comb(p, s)
     if n_sets > budget:
@@ -221,7 +228,7 @@ def spectrum_fixed_interval(
     )
 
 
-def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
+def _attainable_selection_sums(counts: dict[int, int], size: int) -> tuple[int, ...]:
     """Subset-sum DP over a multiset: sums of exactly ``size`` elements.
 
     Multiplicities are capped at ``size`` and binary-split, so one DP item
@@ -245,11 +252,7 @@ def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
             src = rows[c - k]
             if src:
                 rows[c] |= src << add
-    mask = rows[size]
-    if not mask:
-        return []
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+    return bit_positions(rows[size])
 
 
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
@@ -273,6 +276,7 @@ def schur_spectrum(
 ) -> SpectrumReport:
     """All values of the Schur count r(A, A, A) over |A| = s."""
     params = Params(p, s, s)
+    _check_budget(budget)
     started = time.perf_counter()
     n_sets = comb(p, s)
     if n_sets > budget:
@@ -327,6 +331,7 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
     """
     if p_min > p_max:
         raise DomainError(f"empty modulus range [{p_min}, {p_max}]")
+    _check_budget(budget)
     records: list[ExceptionRecord] = []
     skipped: list[tuple[int, int, int]] = []
     instances = 0

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import bounds, counting
-from .residues import ResidueSet, is_prime
+from .residues import DomainError, ResidueSet, check_modulus, is_prime
 
 PRIME_ONLY_CHECKS = ("sumset-inequality", "layer-inequalities", "bound-sandwich")
 
@@ -113,14 +113,10 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
         if not cd.holds:
             fail(trial, "sumset-inequality", f"|A+B|={cd.lhs} < {cd.rhs}", a, b)
 
-        sizes = counting.layer_sizes(a, b)
         counts["layer-inequalities"] = counts.get("layer-inequalities", 0) + 1
-        lhs = 0
-        for j in range(1, min(s, t) + 1):
-            lhs += sizes[j - 1] if j <= len(sizes) else 0
-            rhs_j = j * min(p, s + t - j)
-            if lhs < rhs_j:
-                fail(trial, "layer-inequalities", f"j={j}: {lhs} < {rhs_j}", a, b)
+        for j, check in enumerate(bounds.pollard_check_sweep(a, b), start=1):
+            if not check.holds:
+                fail(trial, "layer-inequalities", f"j={j}: {check.lhs} < {check.rhs}", a, b)
                 break
 
         f = bounds.lower_bound(p, s, t)
@@ -134,6 +130,9 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
 
 def run_verification(p_values: list[int], trials: int, seed: int) -> VerifyReport:
     """Run ``trials`` random-pair checks for each modulus, in order, from one seed."""
+    p_values = [check_modulus(p) for p in p_values]
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
     started = time.perf_counter()
     rng = random.Random(seed)
     report = VerifyReport(seed=seed, trials=trials, moduli=[])

@@ -142,6 +142,11 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--p-min", "15", "--p-max", "9")
         assert code == 1 and "range" in err
 
+    def test_nonpositive_budget_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--p-min", "9", "--p-max", "15",
+                                 "--budget", "-5")
+        assert code == 1 and out == "" and "budget" in err
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -159,6 +164,14 @@ class TestVerify:
     def test_zero_trials(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "5", "--trials", "0")
         assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_invalid_modulus_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--p", "5,1", "--trials", "3")
+        assert code == 1 and out == "" and "modulus" in err
+
+    def test_negative_trials_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--p", "5", "--trials", "-5")
+        assert code == 1 and out == "" and "trials" in err
 
 
 class TestContract:

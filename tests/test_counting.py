@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -203,11 +205,13 @@ class TestIdentities:
         assert counting.count_triples(a2, b2) == counting.count_triples(a, b)
 
 
-def test_dispatcher_uses_both_routes():
-    a = make_set(9, PAPER_A9)
-    b = make_set(9, PAPER_B9)
-    assert counting.count_triples(a, b) == 24
-    assert counting.SHIFT_METHOD_MAX_P == 4096
+def test_count_triples_matches_naive_beyond_4096():
+    rng = random.Random(4099)
+    p = 4099
+    for s, t in [(1, p - 1), (300, 2000), (p - 1, 1500)]:
+        a = make_set(p, rng.sample(range(p), s))
+        b = make_set(p, rng.sample(range(p), t))
+        assert counting.count_triples(a, b) == counting.count_naive(a, b)
 
 
 def test_convolution_matches_on_structured_inputs():

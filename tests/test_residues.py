@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from addtriples.counting import layers
 from addtriples.residues import (
     DomainError,
     IncompatibleSetsError,
@@ -53,6 +54,27 @@ class TestConstruction:
         assert list(s) == [1, 5]
         assert len(s) == 2
         assert repr(s) == "ResidueSet(7, {1, 5})"
+
+
+def reference_positions(bits, p):
+    return [i for i in range(p) if bits >> i & 1]
+
+
+@given(st.sampled_from([3, 5, 7, 9, 63, 65, 4097, 4099, 10001]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(min_value=0, max_value=(1 << p) - 1),
+                        st.booleans())))
+def test_elements_round_trip(case):
+    p, bits, top = case
+    if top:
+        bits |= 1 << (p - 1)
+    s = ResidueSet(p, bits)
+    elements = s.elements()
+    assert all(x < y for x, y in zip(elements, elements[1:]))
+    assert list(elements) == reference_positions(bits, p)
+    assert list(s) == list(elements)
+    assert ResidueSet.from_elements(p, elements).bits == bits
+    # A + {0} is A with every residue represented once: one layer, equal to A
+    assert layers(s, make_set(p, [0])).layers == ((s,) if bits else ())
 
 
 class TestComplement:
