@@ -309,10 +309,15 @@ def render_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+_parser: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # built on first use, then shared by every call in the process
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # usage error or --help; keep main() total
         return int(exc.code or 0)
     try:

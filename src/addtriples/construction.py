@@ -14,14 +14,18 @@ the size-s selection sums an unbroken integer interval [r1, r2], and the
 endpoints have the same closed forms as the global bounds. That holds for
 every odd p, prime or not, which is what :func:`construct` exploits.
 
-The selection rule and the residue tie-breaking here are deterministic, so
-a given (p, s, t, r) always yields the same witness set A.
+:func:`build_shift_profile` writes M in this closed form, one entry per
+distinct value, so the profile, the selection and the realisation cost
+O(min(t, p - t)) rather than O(p); :func:`construct` builds the profile once
+and hands it to both. The selection rule and the residue tie-breaking here
+are deterministic, so a given (p, s, t, r) always yields the same witness
+set A.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -85,7 +89,7 @@ class ShiftProfile:
         return sum(v * m for v, m in self.counts.items())
 
     def ascending(self) -> list[int]:
-        """The full multiset as a sorted list of its p values."""
+        """The full multiset as a sorted list of its p values (O(p); a test oracle)."""
         out: list[int] = []
         for v in sorted(self.counts):
             out.extend([v] * self.counts[v])
@@ -93,17 +97,19 @@ class ShiftProfile:
 
 
 def build_shift_profile(p: int, t: int) -> ShiftProfile:
-    """Tally the overlap value of every residue, then verify both mass identities."""
+    """The overlap multiset of B = {0..t-1} in closed form, checked by both mass identities.
+
+    With floor = max(0, 2t - p): one copy of t (from a = 0), two copies of
+    every v strictly between floor and t (from a = +-(t - v)), and the other
+    p - 1 - 2(t - 1 - floor) residues at the floor. That is O(min(t, p - t))
+    entries, whatever the size of p.
+    """
     p, t = _check_interval_args(p, t)
-    wrapped = 2 * t >= p + 1
-    floor = 2 * t - p
-    counts: dict[int, int] = {}
-    for a in range(p):
-        # inline shift_overlap: symmetric representative magnitude, then the
-        # per-regime overlap formula
-        sym = a if 2 * a < p else p - a
-        v = max(t - sym, floor) if wrapped else max(0, t - sym)
-        counts[v] = counts.get(v, 0) + 1
+    floor = max(0, 2 * t - p)
+    counts = {t: 1}
+    for v in range(t - 1, floor, -1):
+        counts[v] = 2
+    counts[floor] = p - 1 - 2 * (t - 1 - floor)
     profile = ShiftProfile(p, t, counts)
     if profile.total() != p:
         raise VerificationError(f"profile mass {profile.total()} != p = {p}")
@@ -171,9 +177,11 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
 
     Greedy from the largest value down: at each value take the largest
     count that leaves the remainder completable, where completability is
-    an interval test against the prefix sums of the ascending multiset
-    (the attainable sums of any suffix form an unbroken interval because
-    the values are consecutive integers).
+    an interval test against the sums of the n smallest elements of the
+    ascending multiset (the attainable sums of any suffix form an unbroken
+    interval because the values are consecutive integers). Those sums come
+    from cumulative counts and sums over the distinct values, one bisect
+    each, so the multiset is never expanded.
 
     Raises :class:`UnattainableTargetError` when r is outside [r1, r2].
     """
@@ -181,27 +189,37 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     r = operator.index(r)
     if not 1 <= s <= profile.p:
         raise DomainError(f"selection size must satisfy 1 <= s <= p, got s={s}")
-    asc = profile.ascending()
-    prefix = [0, *accumulate(asc)]
-    r1 = prefix[s]
-    r2 = prefix[len(asc)] - prefix[len(asc) - s]
+    values = sorted(profile.counts)
+    multiplicities = [profile.counts[v] for v in values]
+    # below[i]: how many elements are smaller than values[i]; below_sum[i]: their sum
+    below = [0, *accumulate(multiplicities)]
+    below_sum = [0, *accumulate(v * m for v, m in zip(values, multiplicities))]
+    size = below[-1]
+
+    def smallest(n: int) -> int:
+        # Sum of the n smallest elements of the ascending multiset.
+        i = bisect_right(below, n) - 1
+        return below_sum[i] if i == len(values) else below_sum[i] + (n - below[i]) * values[i]
+
+    r1 = smallest(s)
+    r2 = below_sum[-1] - smallest(size - s)
     if not r1 <= r <= r2:
         raise UnattainableTargetError(r, r1, r2)
 
-    def feasible(n: int, target: int, below: int) -> bool:
-        # Can n elements drawn among the `below` smallest (all values < v)
-        # sum to target? The first `below` entries of asc are exactly them.
-        if n > below:
+    def feasible(n: int, target: int, i: int) -> bool:
+        # Can n elements drawn among the below[i] smallest (all values < values[i])
+        # sum to target?
+        if n > below[i]:
             return False
-        return prefix[n] <= target <= prefix[below] - prefix[below - n]
+        return smallest(n) <= target <= below_sum[i] - smallest(below[i] - n)
 
     selection: dict[int, int] = {}
     remaining = s
     target = r
-    for v in sorted(profile.counts, reverse=True):
-        below = bisect_left(asc, v)
-        c = min(profile.counts[v], remaining)
-        while c >= 0 and not feasible(remaining - c, target - c * v, below):
+    for i in range(len(values) - 1, -1, -1):
+        v = values[i]
+        c = min(multiplicities[i], remaining)
+        while c >= 0 and not feasible(remaining - c, target - c * v, i):
             c -= 1
         if c < 0:
             raise VerificationError(f"selection dead end at value {v}; target {r} in [{r1}, {r2}]")
@@ -216,15 +234,16 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     return selection
 
 
-def realize_set(selection: dict[int, int], p: int, t: int) -> ResidueSet:
+def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
     """The canonical set A whose overlap multiset equals ``selection``.
 
-    Tie-breaking: value t comes from a = 0; an intermediate value v comes
-    first from the positive representative a = t - v, then from p - (t - v);
-    the floor value takes residues from its canonical run in increasing
-    order (starting at t when the floor is 0, at p - t otherwise).
+    ``selection`` must draw on ``profile``, the overlap multiset of the
+    interval B = {0..t-1} in Z_p. Tie-breaking: value t comes from a = 0; an
+    intermediate value v comes first from the positive representative
+    a = t - v, then from p - (t - v); the floor value takes residues from its
+    canonical run in increasing order (starting at t when the floor is 0, at
+    p - t otherwise).
     """
-    profile = build_shift_profile(p, t)
     p, t = profile.p, profile.t
     floor = profile.floor_value
     elements: list[int] = []
@@ -276,7 +295,7 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
         raise UnattainableTargetError(r, r1, r2)
     profile = build_shift_profile(p, t)
     selection = select_multisubset(profile, s, r)
-    a_set = realize_set(selection, p, t)
+    a_set = realize_set(selection, profile)
     b_set = interval_set(p, t)
     if a_set.cardinality != s:
         raise VerificationError(f"witness has {a_set.cardinality} elements, wanted {s}")

@@ -69,11 +69,32 @@ def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
     return total
 
 
-def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
-    """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as int64[p]."""
+# The most recent (A, B, N) triple. A verify trial asks for the same pair's
+# counts twice, through count_layers and through layer_sizes. The entry is
+# read and replaced as one tuple, so concurrent callers at worst recompute.
+_last_counts: tuple = ()
+
+
+def _count_representations(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
     p = common_modulus(a_set, b_set)
     sums = (_index(a_set)[:, None] + _index(b_set)[None, :]).ravel() % p
     return np.bincount(sums, minlength=p)
+
+
+def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
+    """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as a read-only int64[p].
+
+    The result for the last pair asked about is kept, so asking again for an
+    equal (A, B) returns the same array without recounting.
+    """
+    global _last_counts
+    last = _last_counts
+    if last and last[0] == a_set and last[1] == b_set:
+        return last[2]
+    counts = _count_representations(a_set, b_set)
+    counts.flags.writeable = False
+    _last_counts = (a_set, b_set, counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -104,12 +125,14 @@ def layers(a_set: ResidueSet, b_set: ResidueSet) -> LayerDecomposition:
     return LayerDecomposition(a_set.modulus, built, tuple(int(c) for c in counts))
 
 
+def _at_least(multiplicity: np.ndarray) -> np.ndarray:
+    """Entry i-1 counts the entries of ``multiplicity`` that are >= i, for i = 1..max."""
+    return np.cumsum(np.bincount(multiplicity)[::-1])[::-1][1:]
+
+
 def layer_sizes(a_set: ResidueSet, b_set: ResidueSet) -> list[int]:
     """|S_1|, |S_2|, ... without materialising the sets."""
-    hist = np.bincount(representation_counts(a_set, b_set))
-    # suffix[i] = #residues with multiplicity >= i
-    suffix = np.cumsum(hist[::-1])[::-1]
-    return [int(x) for x in suffix[1:]]
+    return [int(x) for x in _at_least(representation_counts(a_set, b_set))]
 
 
 def count_layers(a_set: ResidueSet, b_set: ResidueSet) -> int:
@@ -122,10 +145,7 @@ def count_layers(a_set: ResidueSet, b_set: ResidueSet) -> int:
     by tests.
     """
     on_b = representation_counts(a_set, b_set)[_index(b_set)]
-    total = 0
-    for i in range(1, int(on_b.max(initial=0)) + 1):
-        total += int((on_b >= i).sum())
-    return total
+    return int(_at_least(on_b).sum())  # entry i-1 is |S_i n B|
 
 
 def count_convolution(a_set: ResidueSet, b_set: ResidueSet) -> int:

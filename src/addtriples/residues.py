@@ -113,7 +113,7 @@ class ResidueSet:
     def __post_init__(self) -> None:
         p = check_modulus(self.modulus)
         bits = operator.index(self.bits)
-        if not 0 <= bits < (1 << p):
+        if bits < 0 or bits.bit_length() > p:
             raise DomainError(f"bitmask has members outside [0, {p})")
         object.__setattr__(self, "modulus", p)
         object.__setattr__(self, "bits", bits)

@@ -215,3 +215,17 @@ class TestContract:
             "--method", "all",
         )
         assert recount["count"] == 27 and recount["agree"] is True
+
+
+def test_parser_reuse_carries_no_state(capsys, monkeypatch):
+    argv = ("construct", "--p", "21", "--s", "8", "--t", "11", "--r", "40")
+    assert run_cli(capsys, "construct", "--p", "21", "--s", "8")[0] == 1
+    shared = cli._parser
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and "construct" in out
+    reused = run_cli(capsys, *argv)
+    assert cli._parser is shared
+    monkeypatch.setattr(cli, "_parser", None)  # the next call builds a fresh parser
+    fresh = run_cli(capsys, *argv)
+    assert cli._parser is not shared
+    assert reused[0] == 0 and reused == fresh

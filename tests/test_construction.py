@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,15 @@ class TestShiftProfile:
                 for v, count in profile.counts.items():
                     if v not in (t, floor):
                         assert count == 2
+
+    def test_closed_form_matches_per_residue_tally(self):
+        for p in range(3, 100, 2):
+            for t in range(1, p):
+                tally = Counter(shift_overlap(p, t, a) for a in range(p))
+                assert build_shift_profile(p, t).counts == tally, (p, t)
+
+    def test_largest_modulus_is_immediate(self):
+        assert build_shift_profile(2**31 - 1, 3).counts == {3: 1, 2: 2, 1: 2, 0: 2**31 - 6}
 
     def test_ascending_expansion(self):
         assert build_shift_profile(11, 5).ascending() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
@@ -165,18 +176,19 @@ class TestSelectMultisubset:
 
 class TestRealizeSet:
     def test_examples(self):
-        assert realize_set({5: 1, 2: 1, 0: 2}, 11, 5).elements() == (0, 3, 5, 6)
-        assert realize_set({5: 1}, 11, 5).elements() == (0,)
-        assert realize_set({0: 3}, 11, 4).elements() == (4, 5, 6)
+        profile = build_shift_profile(11, 5)
+        assert realize_set({5: 1, 2: 1, 0: 2}, profile).elements() == (0, 3, 5, 6)
+        assert realize_set({5: 1}, profile).elements() == (0,)
+        assert realize_set({0: 3}, build_shift_profile(11, 4)).elements() == (4, 5, 6)
 
     def test_all_zero_overlap_shifts(self):
         p, t = 13, 4
-        a = realize_set({0: p - 2 * t + 1}, p, t)
+        a = realize_set({0: p - 2 * t + 1}, build_shift_profile(p, t))
         assert a.elements() == tuple(range(t, p - t + 1))
 
     def test_rejects_overdrawn_selection(self):
         with pytest.raises(DomainError):
-            realize_set({5: 2}, 11, 5)
+            realize_set({5: 2}, build_shift_profile(11, 5))
 
     @given(construction_instances())
     def test_realised_overlaps_match_selection(self, args):
@@ -185,7 +197,7 @@ class TestRealizeSet:
         r1, r2 = extreme_sums(p, s, t)
         r = r1 + seed % (r2 - r1 + 1)
         selection = select_multisubset(profile, s, r)
-        a = realize_set(selection, p, t)
+        a = realize_set(selection, profile)
         assert a.cardinality == s
         observed: dict[int, int] = {}
         for elem in a:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -224,3 +226,39 @@ def test_convolution_matches_on_structured_inputs():
         ]:
             a, b = make_set(p, a_elems), make_set(p, b_elems)
             assert counting.count_convolution(a, b) == brute_count(p, list(a), list(b))
+
+
+class TestRepresentationCountsCache:
+    def test_last_pair_is_kept_read_only(self):
+        a, b = make_set(7, [0, 1, 3]), make_set(7, [2, 3])
+        counts = counting.representation_counts(a, b)
+        assert not counts.flags.writeable
+        assert counting.representation_counts(make_set(7, [0, 1, 3]), b) is counts
+        assert counting.representation_counts(b, a) is not counts
+        assert counts.tolist() == brute_multiplicities(7, [0, 1, 3], [2, 3])
+
+    def test_threads_sharing_the_cache_get_their_own_pair(self):
+        pairs = [(make_set(101, range(k, 30 + k)), make_set(101, range(0, 60, k + 1)))
+                 for k in range(4)]
+        expected = [counting._count_representations(a, b).tolist() for a, b in pairs]
+        wrong = []
+
+        def worker(offset):
+            for n in range(500):
+                i = (n + offset) % len(pairs)
+                for _ in range(2):  # the second ask is the one the cache may answer
+                    if counting.representation_counts(*pairs[i]).tolist() != expected[i]:
+                        wrong.append(i)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,18 @@ class TestConstruction:
     def test_bitmask_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             ResidueSet(5, 1 << 5)
+        with pytest.raises(DomainError):
+            ResidueSet(5, -1)
+        assert ResidueSet(5, 1 << 4).elements() == (4,)
+
+    def test_range_check_builds_no_modulus_wide_integer(self):
+        tracemalloc.start()
+        try:
+            ResidueSet(2**27 + 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_membership_and_iteration(self):
         s = make_set(7, [1, 5])

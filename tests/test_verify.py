@@ -1,3 +1,4 @@
+from addtriples import counting
 from addtriples.verify import PRIME_ONLY_CHECKS, run_verification
 
 
@@ -35,3 +36,18 @@ def test_zero_trials_vacuous_pass():
     assert report.ok
     assert report.moduli[0].checks == {}
     assert report.first_violation() is None
+
+
+def test_representation_counts_computed_once_per_trial(monkeypatch):
+    # count_layers and the Pollard sweep both need N(c) for the same pair
+    computed = []
+    original = counting._count_representations
+
+    def tally(a_set, b_set):
+        computed.append((a_set, b_set))
+        return original(a_set, b_set)
+
+    monkeypatch.setattr(counting, "_count_representations", tally)
+    report = run_verification([7, 11, 9], 40, seed=3)
+    assert report.ok
+    assert len(computed) == 3 * 40
