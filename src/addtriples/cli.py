@@ -111,7 +111,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", type=_mode, default="exhaustive",
                     help="exhaustive, fixed-interval-B or multiset-dp")
     sp.add_argument("--witnesses", action="store_true", help="record one witness per value")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes (exhaustive mode)")
+    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     sp.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     sp.add_argument("--timing", action="store_true", help="include wall time in the report")
 
@@ -223,7 +223,7 @@ def _run_construct(args):
 def _run_spectrum(args):
     if args.mode == "exhaustive":
         report = spectrum_exhaustive(args.p, args.s, args.t, want_witnesses=args.witnesses,
-                                     jobs=args.jobs, budget=args.budget)
+                                     budget=args.budget)
     elif args.mode == "fixed-interval-B":
         report = spectrum_fixed_interval(args.p, args.s, args.t,
                                          want_witnesses=args.witnesses, budget=args.budget)
@@ -333,8 +333,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VERIFICATION
     text = render_json(payload) if args.format == "json" else render_csv(rows)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"addtriples: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -1,32 +1,33 @@
 """Attained-value spectra of r(A, B, B) for fixed (p, s, t).
 
-Three enumeration modes with very different costs:
+Three modes with very different costs:
 
-* ``exhaustive``        - all C(p,s) * C(p,t) pairs (A, B); the ground truth.
+* ``exhaustive``        - every pair |A| = s, |B| = t; the ground truth.
 * ``fixed-interval-B``  - all C(p,s) sets A against B = {0..t-1}.
-* ``multiset-dp``       - no enumeration at all: bounded-multiplicity
-  subset-sum dynamic programming over the interval overlap profile, which
-  by the selection equivalence must reproduce the fixed-interval spectrum.
+* ``multiset-dp``       - no enumeration at all: the same engine run on
+  the interval's overlap profile alone, which by the selection equivalence
+  must reproduce the fixed-interval spectrum.
+
+The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
+over all A are the exactly-s selection sums of B's overlap multiset
+(bounded-multiplicity subset-sum DP over its histogram). Translating B
+changes no count, so ``exhaustive`` visits only the B that contain 0 and
+runs the DP once per distinct histogram.
 
 Reports record the attained values, the closed-form interval [f, g], the
 gaps inside it and any exceptional values outside it. For prime p there are
 provably no gaps and no exceptions; for composite odd p exceptions exist
-(the scanner below hunts for them) and every reported exception is
-re-verified against the naive counting oracle before it is returned.
-
-Exhaustive enumeration can be partitioned across worker processes by the
-first (smallest) element of A. Each worker reports the first witness it saw
-per value; the merge keeps the lexicographically smallest (A, B) pair, which
-is exactly the witness single-threaded enumeration finds, so results do not
-depend on the partition.
+(the scanner below hunts for them). An exhaustive witness takes the lex-first
+t-set B containing 0 that attains the value, then the lex-first s-set A for
+that B, and is recounted by the naive counting oracle before it is returned.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -107,49 +108,49 @@ def _make_report(
     )
 
 
-def _overlap_table(p: int, t: int, keep_sets: bool):
-    """Overlap values |(a + B) n B| for every size-t set B and every shift a.
+_CHUNK_CELLS = 1 << 22  # overlap cells built at once; bounds the engine's memory
 
-    Returns (V, b_tuples): V[i, a] is the overlap of shift a against the
-    i-th set in lexicographic order; b_tuples lists the sets themselves when
-    ``keep_sets`` is true (needed only for witness reporting).
+
+def _distinct_profiles(p: int, t: int):
+    """Yield (B, overlaps) for the first B with each distinct overlap histogram.
+
+    B runs over the t-sets containing 0 in lex order; overlaps[a] =
+    |(a + B) n B| counts the pairs x, y in B with y - x = a.
     """
-    n_sets = comb(p, t)
-    indicator = np.zeros((n_sets, p), dtype=np.uint8)
-    b_tuples: list[tuple[int, ...]] | None = [] if keep_sets else None
-    for i, b in enumerate(combinations(range(p), t)):
-        indicator[i, list(b)] = 1
-        if b_tuples is not None:
-            b_tuples.append(b)
-    table = np.empty((n_sets, p), dtype=np.int64)
-    for a in range(p):
-        # roll by a aligns column c with c - a, so the row dot is |B n (a+B)|
-        table[:, a] = (indicator & np.roll(indicator, a, axis=1)).sum(axis=1, dtype=np.int64)
-    return table, b_tuples
+    rests = combinations(range(1, p), t - 1)
+    seen: set[bytes] = set()
+    while chunk := list(islice(rests, max(1, _CHUNK_CELLS // (p + t * t)))):
+        members = np.zeros((len(chunk), t), dtype=np.int64)
+        members[:, 1:] = chunk
+        diffs = (members[:, None, :] - members[:, :, None]) % p
+        diffs += np.arange(len(chunk))[:, None, None] * p
+        table = np.bincount(diffs.ravel(), minlength=len(chunk) * p).reshape(len(chunk), p)
+        ordered = np.sort(table, axis=1)
+        for i in sorted(np.unique(ordered, axis=0, return_index=True)[1].tolist()):
+            if (key := ordered[i].tobytes()) not in seen:
+                seen.add(key)
+                yield (0, *chunk[i]), table[i].tolist()
 
 
-def _scan_a_subsets(p, s, table, b_tuples, firsts, want_witnesses):
-    """Enumerate A (lex order, restricted to given smallest elements) against all B."""
-    attained: set[int] = set()
-    witnesses: dict[int, Witness] = {}
-    for first in firsts:
-        for rest in combinations(range(first + 1, p), s - 1):
-            a_tuple = (first, *rest)
-            row = table[:, a_tuple].sum(axis=1)
-            if want_witnesses:
-                for b_idx, r in enumerate(row.tolist()):
-                    if r not in attained:
-                        attained.add(r)
-                        witnesses[r] = (a_tuple, b_tuples[b_idx])
-            else:
-                attained.update(np.unique(row).tolist())
-    return attained, witnesses
+def _first_selections(values: list[int], size: int, targets: list[int]):
+    """Yield (target, lex-first ``size`` positions of ``values`` summing to it).
 
-
-def _exhaustive_worker(args):
-    p, s, t, firsts, want_witnesses = args
-    table, b_tuples = _overlap_table(p, t, keep_sets=want_witnesses)
-    return _scan_a_subsets(p, s, table, b_tuples, firsts, want_witnesses)
+    suffix[x][c] is a bitmask over the sums of c values at positions >= x;
+    each position is taken greedily while the rest can still be met.
+    """
+    suffix = [[1] + [0] * size]
+    for v in reversed(values):
+        below = suffix[-1]
+        suffix.append([1] + [below[c] | below[c - 1] << v for c in range(1, size + 1)])
+    suffix.reverse()
+    for target in targets:
+        chosen, rest = [], target
+        for x, v in enumerate(values):
+            need = size - len(chosen)
+            if need and rest >= v and suffix[x + 1][need - 1] >> (rest - v) & 1:
+                chosen.append(x)
+                rest -= v
+        yield target, tuple(chosen)
 
 
 def spectrum_exhaustive(
@@ -157,39 +158,33 @@ def spectrum_exhaustive(
     s: int,
     t: int,
     want_witnesses: bool = False,
-    jobs: int = 1,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> SpectrumReport:
     """All values of r(A, B, B) over every pair |A| = s, |B| = t.
 
-    Cost grows as C(p,s) * C(p,t); the call refuses to start when that (or
-    the C(p,t) * p overlap table) exceeds ``budget``.
+    The call refuses to start when the C(p,s) * C(p,t) pairs exceed
+    ``budget``, which also bounds the t * C(p,t) overlap cells it computes.
+    Witnesses follow the module's rule and are recounted by ``count_naive``.
     """
     params = Params(p, s, t)
     _check_budget(budget)
     started = time.perf_counter()
     pairs = comb(p, s) * comb(p, t)
-    cells = comb(p, t) * p
-    if max(pairs, cells) > budget:
-        raise BudgetExceededError(max(pairs, cells), budget)
-    firsts = list(range(p - s + 1))
-    jobs = max(1, min(jobs, len(firsts)))
-    if jobs == 1:
-        table, b_tuples = _overlap_table(p, t, keep_sets=want_witnesses)
-        attained, witnesses = _scan_a_subsets(p, s, table, b_tuples, firsts, want_witnesses)
-    else:
-        chunks = [firsts[w::jobs] for w in range(jobs)]
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=jobs) as pool:
-            partials = pool.map(
-                _exhaustive_worker, [(p, s, t, chunk, want_witnesses) for chunk in chunks]
-            )
-        attained = set().union(*(part[0] for part in partials))
-        witnesses = {}
-        for _, wit in partials:
-            for value, pair in wit.items():
-                if value not in witnesses or pair < witnesses[value]:
-                    witnesses[value] = pair
+    if pairs > budget:
+        raise BudgetExceededError(pairs, budget)
+    attained: set[int] = set()
+    witnesses: dict[int, Witness] = {}
+    for b_tuple, overlaps in _distinct_profiles(p, t):
+        new = [r for r in _attainable_selection_sums(Counter(overlaps), s) if r not in attained]
+        attained.update(new)
+        if not want_witnesses:
+            continue
+        for r, a_tuple in _first_selections(overlaps, s, new):
+            check = counting.count_naive(make_set(p, a_tuple), make_set(p, b_tuple))
+            if check != r:
+                raise VerificationError(
+                    f"witness for {r} at (p={p}, s={s}, t={t}) recounts to {check}")
+            witnesses[r] = (a_tuple, b_tuple)
     return _make_report(
         params.p, s, t, "exhaustive", attained,
         lower_bound(p, s, t), upper_bound(p, s, t),
@@ -326,8 +321,8 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
     For every composite odd p in [p_min, p_max] and every (s, t) whose
     exhaustive enumeration fits the per-instance budget, run the exhaustive
     spectrum and keep any values outside [f, g]. Over-budget instances are
-    recorded as skipped rather than failing the scan. Each exceptional value
-    is re-verified by the naive counting oracle on its witness.
+    recorded as skipped rather than failing the scan. Every witness is
+    recounted by ``spectrum_exhaustive`` before it reaches the record.
     """
     if p_min > p_max:
         raise DomainError(f"empty modulus range [{p_min}, {p_max}]")
@@ -340,22 +335,14 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
             continue
         for s in range(1, p):
             for t in range(1, p):
-                if max(comb(p, s) * comb(p, t), comb(p, t) * p) > budget:
+                try:
+                    report = spectrum_exhaustive(p, s, t, want_witnesses=True, budget=budget)
+                except BudgetExceededError:
                     skipped.append((p, s, t))
                     continue
-                report = spectrum_exhaustive(p, s, t, want_witnesses=True, budget=budget)
                 instances += 1
                 if report.exceptions:
-                    witnesses = {}
-                    for value in report.exceptions:
-                        a_tuple, b_tuple = report.witnesses[value]
-                        check = counting.count_naive(make_set(p, a_tuple), make_set(p, b_tuple))
-                        if check != value:
-                            raise VerificationError(
-                                f"witness for exceptional value {value} at (p={p}, s={s}, t={t}) "
-                                f"recounts to {check}"
-                            )
-                        witnesses[value] = (a_tuple, b_tuple)
+                    witnesses = {value: report.witnesses[value] for value in report.exceptions}
                     records.append(
                         ExceptionRecord(p, s, t, report.f, report.g, report.exceptions, witnesses)
                     )

@@ -43,3 +43,13 @@ def pair_multiset(u):
         out.extend((v, v))
     out.append(u)
     return out
+
+
+def first_witnesses(p, s, t):
+    """The first (A, B) per attained value: B containing 0, then A, both in lex order."""
+    found = {}
+    for rest in combinations(range(1, p), t - 1):
+        b = (0, *rest)
+        for a in combinations(range(p), s):
+            found.setdefault(brute_count(p, a, b), (a, b))
+    return found

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings, strategies as st
 
 from addtriples import cli
 
@@ -206,6 +210,19 @@ class TestContract:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["f"] == 25
 
+    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+        for target in (tmp_path, tmp_path / "missing" / "report.json"):
+            code, out, err = run_cli(capsys, "bounds", "--p", "9", "--s", "7", "--t", "6",
+                                     "--output", str(target))
+            assert code == 1 and out == ""
+            assert "cannot write" in err and "Traceback" not in err
+
+    def test_jobs_is_accepted_and_ignored(self, capsys):
+        argv = ("spectrum", "--p", "9", "--s", "7", "--t", "6", "--witnesses")
+        plain = run_cli(capsys, *argv)
+        for jobs in ("4", "0", "-3"):
+            assert run_cli(capsys, *argv, "--jobs", jobs) == plain
+
     def test_witness_recount_round_trip(self, capsys):
         payload = run_json(capsys, "construct", "--p", "9", "--s", "7", "--t", "6", "--r", "27")
         recount = run_json(
@@ -229,3 +246,59 @@ def test_parser_reuse_carries_no_state(capsys, monkeypatch):
     fresh = run_cli(capsys, *argv)
     assert cli._parser is not shared
     assert reused[0] == 0 and reused == fresh
+
+
+# CLI totality: any argv ends in a documented exit code, never an exception.
+# Sizes stay small (p <= 15 where the command enumerates), but every numeric
+# flag also sees negative, zero, even and out-of-range values.
+_SMALL = st.integers(-3, 15)
+_NUMBER = st.one_of(st.integers(-3, 45), st.sampled_from([2**31 - 2, 2**31 + 1, -(10**20)]))
+_BUDGET = st.one_of(st.integers(-3, 2 * 10**6), st.just(10**20))
+_RESIDUES = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=8).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", " ", ",", "1,,2", "0;1", "a", "1.5", "0x3", "--", "-", "3,-"]),
+    st.text(max_size=6),
+)
+
+
+def _flag(name, values):
+    """Either the flag with one drawn value, or the flag left out."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts, st.sampled_from([[], ["--format", "csv"], ["--format", "xml"]])).map(
+        lambda chunks: [command] + [token for chunk in chunks for token in chunk]
+    )
+
+
+_ARGV = st.one_of(
+    _argv("bounds", _flag("--p", _NUMBER), _flag("--s", _NUMBER), _flag("--t", _NUMBER)),
+    _argv("count", _flag("--p", _NUMBER), _flag("--set-a", _RESIDUES), _flag("--set-b", _RESIDUES),
+          _flag("--method", st.sampled_from([*cli.COUNT_METHODS, "all", "bogus"]))),
+    _argv("construct", _flag("--p", _NUMBER), _flag("--s", _NUMBER), _flag("--t", _NUMBER),
+          _flag("--r", st.integers(-5, 2000))),
+    _argv("spectrum", _flag("--p", _SMALL), _flag("--s", _SMALL), _flag("--t", _SMALL),
+          _flag("--mode", st.sampled_from([*cli.SPECTRUM_MODES, "MULTISET-DP", "bogus"])),
+          _flag("--jobs", st.integers(-5, 8)), _flag("--budget", _BUDGET),
+          st.sampled_from([[], ["--witnesses"], ["--timing"]])),
+    _argv("schur", _flag("--p", _SMALL), _flag("--s", _SMALL), _flag("--budget", _BUDGET),
+          st.sampled_from([[], ["--witnesses"], ["--timing"]])),
+    _argv("scan", _flag("--p-min", _SMALL), _flag("--p-max", _SMALL),
+          _flag("--budget", _BUDGET)),
+    _argv("verify", _flag("--p", _RESIDUES), _flag("--trials", st.integers(-3, 20)),
+          _flag("--seed", st.integers(-(10**6), 10**6))),
+    st.lists(st.sampled_from(["bounds", "scan", "--p", "9", "-1", "--help", "", "x"]), max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_ARGV)
+def test_main_is_total(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in {0, 1, 2, 3}, (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue()

@@ -1,10 +1,12 @@
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from addtriples import counting
 from addtriples.construction import build_shift_profile
-from addtriples.residues import DomainError, make_set
+from addtriples.residues import DomainError, VerificationError, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
     exception_scan,
@@ -14,7 +16,9 @@ from addtriples.spectrum import (
     spectrum_multiset_dp,
 )
 
-from oracles import brute_count, brute_spectrum
+from oracles import brute_count, brute_spectrum, first_witnesses
+
+SCAN_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "scan_expected.json"
 
 PAPER_A9 = (0, 1, 2, 4, 5, 7, 8)
 PAPER_B9 = (0, 1, 3, 4, 6, 7)
@@ -37,23 +41,31 @@ class TestExhaustive:
         assert report.is_exact_interval()
 
     def test_matches_brute_spectrum(self):
-        for p, s, t in [(5, 2, 3), (7, 3, 4), (9, 4, 3)]:
+        for p, s, t in [(5, 2, 3), (7, 3, 4)]:
             assert list(spectrum_exhaustive(p, s, t).attained) == brute_spectrum(p, s, t)
+
+    def test_matches_brute_spectrum_for_every_size_at_p9(self):
+        # p = 9 is the smallest composite, where the exceptions live
+        for s in range(1, 9):
+            for t in range(1, 9):
+                report = spectrum_exhaustive(9, s, t)
+                assert list(report.attained) == brute_spectrum(9, s, t), (s, t)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as excinfo:
             spectrum_exhaustive(21, 10, 10, budget=1000)
         assert excinfo.value.estimated > 1000
 
-    def test_partition_independence(self):
-        for jobs in (2, 3):
-            reference = spectrum_exhaustive(9, 7, 6, want_witnesses=True, jobs=1)
-            parallel = spectrum_exhaustive(9, 7, 6, want_witnesses=True, jobs=jobs)
-            assert parallel.attained == reference.attained
-            assert parallel.witnesses == reference.witnesses
-        ref = spectrum_exhaustive(11, 4, 5, want_witnesses=True, jobs=1)
-        par = spectrum_exhaustive(11, 4, 5, want_witnesses=True, jobs=4)
-        assert par.attained == ref.attained and par.witnesses == ref.witnesses
+    def test_witnesses_follow_the_stated_rule(self):
+        # B is the lex-first t-set containing 0 that attains r, A the lex-first s-set for that B
+        for p, s, t in [(9, 7, 6), (11, 4, 5), (11, 5, 6)]:
+            report = spectrum_exhaustive(p, s, t, want_witnesses=True)
+            assert report.witnesses == first_witnesses(p, s, t), (p, s, t)
+
+    def test_witness_recount_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(counting, "count_naive", lambda a, b: -1)
+        with pytest.raises(VerificationError):
+            spectrum_exhaustive(9, 7, 6, want_witnesses=True)
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
@@ -169,6 +181,16 @@ class TestExceptionScan:
         result = exception_scan(9, 9, budget=2000)
         assert result.skipped
         assert all(p == 9 for p, _, _ in result.skipped)
+
+    def test_scan_9_to_15_matches_recorded_results(self):
+        # recorded from the initial pair-enumerating scanner; read, never written
+        expected = json.loads(SCAN_EXPECTED.read_text())
+        assert expected["argv"] == ["scan", "--p-min", "9", "--p-max", "15", "--budget", "2000000"]
+        result = exception_scan(9, 15, budget=2_000_000)
+        assert result.instances_run == expected["instances_run"] == 184
+        assert [list(item) for item in result.skipped] == expected["skipped"]
+        found = [[r.p, r.s, r.t, list(r.values)] for r in result.records]
+        assert found == expected["exceptions"]
 
     def test_all_scan_witnesses_reverify(self):
         result = exception_scan(9, 9)
