@@ -14,12 +14,17 @@ deliberately different mechanisms so that they can cross-check one another:
 :func:`count_triples` is the entry point for callers that just want the
 number; it is :func:`count_shift`, the fastest of the four at every modulus.
 All four read the members of A and B through :meth:`ResidueSet.elements`.
+
+:func:`count_naive` and the representation counts behind :func:`count_layers`
+both walk the pair sums a + b in numpy blocks of whole rows of A, each
+holding at most max(_PAIR_BLOCK, |B|) pairs (2^20 pairs, 8 MB, unless B alone
+is larger), so their memory does not grow with |A| * |B|.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,32 +36,38 @@ def _index(x_set: ResidueSet) -> np.ndarray:
     return np.array(x_set.elements(), dtype=np.int64)
 
 
+# Pairs per block of :func:`_pair_sums`: 8 MB of int64 sums.
+_PAIR_BLOCK = 1 << 20
+
+
+def _pair_sums(a_set: ResidueSet, b_set: ResidueSet) -> Iterator[np.ndarray]:
+    """The sums a + b over A x B, unreduced (in [0, 2p - 2]), as 2-d int64 blocks.
+
+    Each block is ``np.add.outer`` of a run of whole rows of A with B, and
+    holds at most max(_PAIR_BLOCK, |B|) pairs. The sums are int64 because
+    2p - 2 overflows int32 once p > 2^30.
+    """
+    a_idx, b_idx = _index(a_set), _index(b_set)
+    if not b_idx.size:
+        return
+    rows = max(1, _PAIR_BLOCK // b_idx.size)
+    for start in range(0, a_idx.size, rows):
+        yield np.add.outer(a_idx[start:start + rows], b_idx)
+
+
 def count_naive(a_set: ResidueSet, b_set: ResidueSet) -> int:
     """Definitional enumeration of all |A| * |B| pairs. The reference the fast paths answer to.
 
-    For each a in A, membership of a + b is read off a doubled indicator
-    table (a + b < 2p, so no reduction is needed) at the |B| positions a + b;
-    the gather runs at C speed but the work is exactly the double loop.
+    Membership of each sum a + b in B is gathered from a doubled indicator of
+    length 2p (a + b < 2p, so no reduction is needed), one block of
+    :func:`_pair_sums` at a time. The gathers run in numpy, but the work is
+    still one lookup per pair.
     """
     p = common_modulus(a_set, b_set)
-    b_elems = b_set.elements()
-    if not b_elems:
-        return 0
-    in_b = bytearray(2 * p)
-    for b in b_elems:
-        in_b[b] = 1
-        in_b[b + p] = 1
-    total = 0
-    if len(b_elems) == 1:
-        b0 = b_elems[0]
-        for a in a_set:
-            total += in_b[a + b0]
-        return total
-    gather = itemgetter(*b_elems)
-    view = memoryview(in_b)
-    for a in a_set:
-        total += sum(gather(view[a:]))
-    return total
+    in_b = np.zeros(2 * p, dtype=bool)
+    in_b[_index(b_set)] = True
+    in_b[p:] = in_b[:p]
+    return sum(int(np.count_nonzero(in_b[block])) for block in _pair_sums(a_set, b_set))
 
 
 def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
@@ -77,13 +88,18 @@ _last_counts: tuple = ()
 
 def _count_representations(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
     p = common_modulus(a_set, b_set)
-    sums = (_index(a_set)[:, None] + _index(b_set)[None, :]).ravel() % p
-    return np.bincount(sums, minlength=p)
+    doubled = np.zeros(2 * p, dtype=np.int64)
+    for block in _pair_sums(a_set, b_set):
+        doubled += np.bincount(block.ravel(), minlength=2 * p)
+    return doubled[:p] + doubled[p:]  # c and c + p are the same residue
 
 
 def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
     """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as a read-only int64[p].
 
+    The sums are tallied over a table of length 2p, one block of at most
+    max(_PAIR_BLOCK, |B|) pairs at a time, so memory stays bounded however
+    large |A| * |B| is; the two halves of the table are then folded.
     The result for the last pair asked about is kept, so asking again for an
     equal (A, B) returns the same array without recounting.
     """

@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from addtriples import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +179,13 @@ class TestVerify:
     def test_negative_trials_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--p", "5", "--trials", "-5")
         assert code == 1 and out == "" and "trials" in err
+
+    def test_default_output_matches_golden_file(self, capsys):
+        # pins the seeded draw stream and the default JSON byte for byte
+        code, out, err = run_cli(capsys, "verify", "--p", "5,7,11,101,499,9,501",
+                                 "--trials", "200", "--seed", "42")
+        assert code == 0, err
+        assert out.encode() == (DATA / "verify_p5-501_t200_s42.json").read_bytes()
 
 
 class TestContract:

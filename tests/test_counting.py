@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -226,6 +227,47 @@ def test_convolution_matches_on_structured_inputs():
         ]:
             a, b = make_set(p, a_elems), make_set(p, b_elems)
             assert counting.count_convolution(a, b) == brute_count(p, list(a), list(b))
+
+
+@pytest.mark.parametrize("p,a_elems,b_elems", [
+    (5, [], [0, 1, 3]),                  # empty A
+    (5, [0, 2, 4], []),                  # empty B
+    (11, [0, 3, 5, 6, 10], [7]),         # singleton B
+    (11, range(11), [3, 10]),            # several rows per block
+    (3, [0, 1, 2], [1, 2]),
+    (3, [2], [2]),
+    (13, [0, 4, 12], [1, 5, 12]),        # 12 + 12 = 2p - 2, the last slot of the doubled table
+    (13, range(13), range(0, 13, 2)),
+])
+def test_pair_blocks_count_every_pair_once(monkeypatch, p, a_elems, b_elems):
+    a, b = make_set(p, a_elems), make_set(p, b_elems)
+    expected_count = brute_count(p, list(a), list(b))
+    expected_counts = brute_multiplicities(p, list(a), list(b))
+    for block in sorted({1, 7, max(b.cardinality - 1, 1)}):
+        monkeypatch.setattr(counting, "_PAIR_BLOCK", block)
+        assert counting.count_naive(a, b) == expected_count
+        counts = counting._count_representations(a, b)
+        assert counts.tolist() == expected_counts
+        assert counts.sum() == a.cardinality * b.cardinality
+
+
+def test_pair_routes_memory_is_bounded(monkeypatch):
+    # 4.2 M pairs, several blocks; one unblocked int64 table of them is 32 MB
+    p = 4099
+    a, b = make_set(p, range(p - 1)), make_set(p, range(1, p))
+    a.elements(), b.elements()  # the member caches are not what is measured
+    results = {}
+    for route in (counting.count_naive, counting.count_layers, counting.layer_sizes):
+        monkeypatch.setattr(counting, "_last_counts", ())
+        tracemalloc.start()
+        try:
+            results[route.__name__] = route(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (route.__name__, peak)
+    assert results["count_naive"] == results["count_layers"] == counting.count_shift(a, b)
+    assert sum(results["layer_sizes"]) == (p - 1) ** 2
 
 
 class TestRepresentationCountsCache:
