@@ -24,8 +24,36 @@ from .counting import layer_sizes
 from .residues import DomainError, Params, ResidueSet, check_modulus, common_modulus, is_prime
 
 
+def _where(cond, yes, no):
+    """``np.where`` on arrays, a plain conditional on ints, so a scalar stays a Python int."""
+    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else (yes if cond else no)
+
+
 def _ceil_div4(x):
     return -(-x // 4)
+
+
+# Each piecewise form is written once, for Python ints (the exact scalar API)
+# and int64 arrays (the grids at the end) alike.
+
+
+def _f(p, s, t):
+    tt = 2 * t
+    return _where(tt <= p - s + 1, 0, _where(tt <= p + s - 2, (s + tt - p) ** 2 // 4, s * (tt - p)))
+
+
+def _g(p, s, t):
+    tt = 2 * t
+    large = _where(tt <= 2 * p - s - 1, _ceil_div4(s * (4 * t - s)), s * (tt - p) + (p - t) ** 2)
+    return _where(tt <= s, t * t, large)
+
+
+def _schur_f(p, s):
+    return _where(3 * s <= p + 1, 0, (3 * s - p) ** 2 // 4)
+
+
+def _schur_g(p, s):
+    return _where(3 * s <= 2 * p + 1, _ceil_div4(3 * s * s), s * (2 * s - p) + (p - s) ** 2)
 
 
 def lower_bound(p: int, s: int, t: int) -> int:
@@ -35,46 +63,26 @@ def lower_bound(p: int, s: int, t: int) -> int:
     floor((s + 2t - p)^2 / 4) in the middle range, and s(2t - p) once B is
     so large that every shift of it meets it in at least 2t - p points.
     """
-    Params(p, s, t)
-    tt = 2 * t
-    if tt <= p - s + 1:
-        return 0
-    if tt <= p + s - 2:
-        return (s + tt - p) ** 2 // 4
-    return s * (tt - p)
+    params = Params(p, s, t)
+    return _f(params.p, params.s, params.t)
 
 
 def upper_bound(p: int, s: int, t: int) -> int:
     """Maximum of r(A, B, B) over |A| = s, |B| = t (guaranteed for prime p)."""
-    Params(p, s, t)
-    tt = 2 * t
-    if tt <= s:
-        return t * t
-    if tt <= 2 * p - s - 1:
-        return _ceil_div4(s * (4 * t - s))
-    return s * (tt - p) + (p - t) ** 2
-
-
-def _check_schur_args(p: int, s: int) -> None:
-    p = check_modulus(p)
-    if not 1 <= s <= p - 1:
-        raise DomainError(f"need 1 <= s <= p-1, got s={s}, p={p}")
+    params = Params(p, s, t)
+    return _g(params.p, params.s, params.t)
 
 
 def schur_lower_bound(p: int, s: int) -> int:
     """Minimum Schur-triple count over |A| = s: 0, or floor((3s - p)^2 / 4)."""
-    _check_schur_args(p, s)
-    if 3 * s <= p + 1:
-        return 0
-    return (3 * s - p) ** 2 // 4
+    params = Params(p, s, s)
+    return _schur_f(params.p, params.s)
 
 
 def schur_upper_bound(p: int, s: int) -> int:
     """Maximum Schur-triple count over |A| = s: ceil(3s^2 / 4), or the large-s form."""
-    _check_schur_args(p, s)
-    if 3 * s <= 2 * p + 1:
-        return _ceil_div4(3 * s * s)
-    return s * (2 * s - p) + (p - s) ** 2
+    params = Params(p, s, s)
+    return _schur_g(params.p, params.s)
 
 
 def pollard_lower_at(p: int, s: int, t: int, j: int) -> int:
@@ -163,23 +171,10 @@ def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[Inequality
     return checks
 
 
-# -- vectorised grids ---------------------------------------------------------
+# -- grids ---------------------------------------------------------------------
 #
-# The sweeps in the test suite span millions of (p, s, t) triples, so the
-# piecewise forms are also provided as numpy evaluations over whole grids.
-# Equality with the scalar versions is pinned by tests.
-
-
-def _f_piecewise(p, s, t):
-    tt = 2 * t
-    middle = (s + tt - p) ** 2 // 4
-    return np.where(tt <= p - s + 1, 0, np.where(tt <= p + s - 2, middle, s * (tt - p)))
-
-
-def _g_piecewise(p, s, t):
-    tt = 2 * t
-    middle = -(-(s * (4 * t - s)) // 4)
-    return np.where(tt <= s, t * t, np.where(tt <= 2 * p - s - 1, middle, s * (tt - p) + (p - t) ** 2))
+# The sweeps in the test suite span millions of (p, s, t) triples, so these
+# evaluate the same forms over int64 arrays; they add no formula of their own.
 
 
 def bound_grids(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,20 +182,18 @@ def bound_grids(p: int) -> tuple[np.ndarray, np.ndarray]:
     p = check_modulus(p)
     s = np.arange(1, p, dtype=np.int64)[:, None]
     t = np.arange(1, p, dtype=np.int64)[None, :]
-    return _f_piecewise(p, s, t), _g_piecewise(p, s, t)
+    return _f(p, s, t), _g(p, s, t)
 
 
 def bound_diagonals(p: int) -> tuple[np.ndarray, np.ndarray]:
     """f(s, s) and g(s, s) for s = 1..p-1, without building the full grid."""
     p = check_modulus(p)
     s = np.arange(1, p, dtype=np.int64)
-    return _f_piecewise(p, s, s), _g_piecewise(p, s, s)
+    return _f(p, s, s), _g(p, s, s)
 
 
 def schur_bound_grids(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The Schur-case bounds for s = 1..p-1 as arrays."""
     p = check_modulus(p)
     s = np.arange(1, p, dtype=np.int64)
-    f = np.where(3 * s <= p + 1, 0, (3 * s - p) ** 2 // 4)
-    g = np.where(3 * s <= 2 * p + 1, -(-(3 * s * s) // 4), s * (2 * s - p) + (p - s) ** 2)
-    return f, g
+    return _schur_f(p, s), _schur_g(p, s)

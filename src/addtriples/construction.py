@@ -5,33 +5,37 @@ Fix B = {0, ..., t-1}. Because r(A, B, B) = sum over a in A of the overlap
 the overlap multiset M = { |(a + B) n B| : a in Z_p }. Writing residues with
 symmetric representatives, the overlap at a depends only on |a| and equals
 
-    max(0, t - |a|)      when 2t <= p - 1,
-    max(t - |a|, 2t - p)  when 2t >= p + 1,
+    max(t - |a|, floor),  floor = max(0, 2t - p),
 
 so M consists of one copy of t, two copies of every intermediate value, and
-a run of copies of the floor value (0 or 2t - p). Consecutive values make
-the size-s selection sums an unbroken integer interval [r1, r2], and the
-endpoints have the same closed forms as the global bounds. That holds for
-every odd p, prime or not, which is what :func:`construct` exploits.
+a run of copies of the floor value. Consecutive values make the size-s
+selection sums an unbroken integer interval [r1, r2], and the endpoints
+have the same closed forms as the global bounds. That holds for every odd
+p, prime or not, which is what :func:`construct` exploits.
 
 :func:`build_shift_profile` writes M in this closed form, one entry per
 distinct value, so the profile, the selection and the realisation cost
 O(min(t, p - t)) rather than O(p); :func:`construct` builds the profile once
-and hands it to both. The selection rule and the residue tie-breaking here
-are deterministic, so a given (p, s, t, r) always yields the same witness
-set A.
+and hands it to both. The selection takes the most copies of each value,
+compared from the largest value down; on consecutive values that is the k
+largest elements, one element w, then the smallest rest, with k found by
+one bisect (see :func:`select_multisubset`). The selection rule and the
+residue tie-breaking here are deterministic, so a given (p, s, t, r) always
+yields the same witness set A.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from . import counting
+from .bounds import _ceil_div4, _where
 from .residues import (
     DomainError,
     Params,
@@ -60,14 +64,17 @@ def _check_interval_args(p: int, t: int) -> tuple[int, int]:
     return p, t
 
 
+def _overlap_floor(p: int, t: int) -> int:
+    """The least overlap |(a + B) n B| over a: 0, or 2t - p once 2t > p."""
+    return max(0, 2 * t - p)
+
+
 def shift_overlap(p: int, t: int, a: int) -> int:
     """|(a + B) n B| for the interval B = {0, ..., t-1}, by closed form."""
     p, t = _check_interval_args(p, t)
     a = operator.index(a) % p
     sym = min(a, p - a)  # symmetric representative magnitude, p odd so no tie
-    if 2 * t <= p - 1:
-        return max(0, t - sym)
-    return max(t - sym, 2 * t - p)
+    return max(t - sym, _overlap_floor(p, t))
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class ShiftProfile:
 
     @property
     def floor_value(self) -> int:
-        return 0 if 2 * self.t <= self.p - 1 else 2 * self.t - self.p
+        return _overlap_floor(self.p, self.t)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -105,7 +112,7 @@ def build_shift_profile(p: int, t: int) -> ShiftProfile:
     entries, whatever the size of p.
     """
     p, t = _check_interval_args(p, t)
-    floor = max(0, 2 * t - p)
+    floor = _overlap_floor(p, t)
     counts = {t: 1}
     for v in range(t - 1, floor, -1):
         counts[v] = 2
@@ -132,6 +139,25 @@ def partial_sum_largest(u: int, n: int) -> int:
     return -(-(n * (4 * u - n)) // 4)
 
 
+def _extreme_sums(p, s, t):
+    # The two-regime case table, on ints or on int64 arrays alike.
+    tt = 2 * t
+    middle = (s + tt - p) ** 2 // 4
+    big = _ceil_div4(s * (4 * t - s))
+    small_b = tt <= p - 1
+    r1 = _where(
+        small_b,
+        _where(s <= p - tt + 1, 0, middle),
+        _where(s <= tt - p + 1, s * (tt - p), middle),
+    )
+    r2 = _where(
+        small_b,
+        _where(s <= tt - 1, big, t * t),
+        _where(s <= 2 * p - tt - 1, big, s * (tt - p) + (p - t) ** 2),
+    )
+    return r1, r2
+
+
 def extreme_sums(p: int, s: int, t: int) -> tuple[int, int]:
     """(r1, r2): the sums of the s smallest and s largest overlap values.
 
@@ -140,15 +166,8 @@ def extreme_sums(p: int, s: int, t: int) -> tuple[int, int]:
     odd p the result coincides with (lower_bound, upper_bound), which is the
     identity the test suite pins across the whole desk-scale range.
     """
-    Params(p, s, t)
-    tt = 2 * t
-    if tt <= p - 1:
-        r1 = 0 if s <= p - tt + 1 else (s + tt - p) ** 2 // 4
-        r2 = -(-(s * (4 * t - s)) // 4) if s <= tt - 1 else t * t
-    else:
-        r1 = s * (tt - p) if s <= tt - p + 1 else (s + tt - p) ** 2 // 4
-        r2 = -(-(s * (4 * t - s)) // 4) if s <= 2 * p - tt - 1 else s * (tt - p) + (p - t) ** 2
-    return r1, r2
+    params = Params(p, s, t)
+    return _extreme_sums(params.p, params.s, params.t)
 
 
 def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,32 +175,24 @@ def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
     p = check_modulus(p)
     s = np.arange(1, p, dtype=np.int64)[:, None]
     t = np.arange(1, p, dtype=np.int64)[None, :]
-    tt = 2 * t
-    middle = (s + tt - p) ** 2 // 4
-    big = -(-(s * (4 * t - s)) // 4)
-    r1 = np.where(
-        tt <= p - 1,
-        np.where(s <= p - tt + 1, 0, middle),
-        np.where(s <= tt - p + 1, s * (tt - p), middle),
-    )
-    r2 = np.where(
-        tt <= p - 1,
-        np.where(s <= tt - 1, big, t * t),
-        np.where(s <= 2 * p - tt - 1, big, s * (tt - p) + (p - t) ** 2),
-    )
-    return r1, r2
+    return _extreme_sums(p, s, t)
 
 
 def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
-    """A deterministic size-s multi-subset of the profile summing to r.
+    """The size-s multi-subset of the profile summing to r with the most
+    copies of each value, compared from the largest value down.
 
-    Greedy from the largest value down: at each value take the largest
-    count that leaves the remainder completable, where completability is
-    an interval test against the sums of the n smallest elements of the
-    ascending multiset (the attainable sums of any suffix form an unbroken
-    interval because the values are consecutive integers). Those sums come
-    from cumulative counts and sums over the distinct values, one bisect
-    each, so the multiset is never expanded.
+    On consecutive values this is the k largest elements, one element w,
+    then the s - k - 1 smallest elements. Write split(k) for the sum of the
+    k largest plus the s - k smallest; it grows with k. The top k elements
+    can be taken exactly while split(k) <= r, so k is the largest such k, found
+    by one bisect. No further element may reach the (k + 1)-th largest
+    value, since that would cost at least split(k + 1) > r. The largest
+    remaining element is then as large as possible when the others are the
+    smallest: w is the (s - k)-th smallest value plus r - split(k), and it
+    lies below the (k + 1)-th largest value. Sums of the n smallest come from
+    cumulative counts and sums over the distinct values, so the multiset is
+    never expanded.
 
     Raises :class:`UnattainableTargetError` when r is outside [r1, r2].
     """
@@ -190,10 +201,9 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     if not 1 <= s <= profile.p:
         raise DomainError(f"selection size must satisfy 1 <= s <= p, got s={s}")
     values = sorted(profile.counts)
-    multiplicities = [profile.counts[v] for v in values]
     # below[i]: how many elements are smaller than values[i]; below_sum[i]: their sum
-    below = [0, *accumulate(multiplicities)]
-    below_sum = [0, *accumulate(v * m for v, m in zip(values, multiplicities))]
+    below = [0, *accumulate(profile.counts[v] for v in values)]
+    below_sum = [0, *accumulate(v * profile.counts[v] for v in values)]
     size = below[-1]
 
     def smallest(n: int) -> int:
@@ -201,36 +211,28 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
         i = bisect_right(below, n) - 1
         return below_sum[i] if i == len(values) else below_sum[i] + (n - below[i]) * values[i]
 
-    r1 = smallest(s)
-    r2 = below_sum[-1] - smallest(size - s)
+    def split(k: int) -> int:
+        # The k largest elements plus the s - k smallest.
+        return below_sum[-1] - smallest(size - k) + smallest(s - k)
+
+    r1, r2 = split(0), split(s)
     if not r1 <= r <= r2:
         raise UnattainableTargetError(r, r1, r2)
-
-    def feasible(n: int, target: int, i: int) -> bool:
-        # Can n elements drawn among the below[i] smallest (all values < values[i])
-        # sum to target?
-        if n > below[i]:
-            return False
-        return smallest(n) <= target <= below_sum[i] - smallest(below[i] - n)
-
-    selection: dict[int, int] = {}
-    remaining = s
-    target = r
-    for i in range(len(values) - 1, -1, -1):
-        v = values[i]
-        c = min(multiplicities[i], remaining)
-        while c >= 0 and not feasible(remaining - c, target - c * v, i):
-            c -= 1
-        if c < 0:
-            raise VerificationError(f"selection dead end at value {v}; target {r} in [{r1}, {r2}]")
-        if c:
-            selection[v] = c
-            remaining -= c
-            target -= c * v
-        if not remaining:
-            break
-    if remaining or target:
-        raise VerificationError(f"selection incomplete: {remaining} slots, residual target {target}")
+    k = bisect_right(range(s + 1), r, key=split) - 1
+    chosen: Counter[int] = Counter()
+    # positions [lo, hi) of the ascending multiset: the k largest, the s - k - 1 smallest
+    for lo, hi in ((size - k, size), (0, max(s - k - 1, 0))):
+        i = bisect_right(below, lo) - 1
+        while i < len(values) and below[i] < hi:
+            chosen[values[i]] += min(hi, below[i + 1]) - max(lo, below[i])
+            i += 1
+    if k < s:  # w: the (s - k)-th smallest value plus the remainder
+        w = values[bisect_right(below, s - k - 1) - 1] + r - split(k)
+        chosen[w] += 1
+    selection = {v: chosen[v] for v in sorted(chosen, reverse=True)}
+    taken = (sum(selection.values()), sum(v * c for v, c in selection.items()))
+    if taken != (s, r):
+        raise VerificationError(f"selection has (size, sum) {taken}, wanted {(s, r)}")
     return selection
 
 

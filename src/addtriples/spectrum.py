@@ -51,9 +51,12 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _check_budget(budget: int) -> None:
+def _check_budget(cost: int, budget: int) -> None:
+    """Reject a budget below 1, then refuse a call whose estimated cost exceeds it."""
     if budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
+    if cost > budget:
+        raise BudgetExceededError(cost, budget)
 
 
 @dataclass(frozen=True)
@@ -167,11 +170,8 @@ def spectrum_exhaustive(
     Witnesses follow the module's rule and are recounted by ``count_naive``.
     """
     params = Params(p, s, t)
-    _check_budget(budget)
+    _check_budget(comb(p, s) * comb(p, t), budget)
     started = time.perf_counter()
-    pairs = comb(p, s) * comb(p, t)
-    if pairs > budget:
-        raise BudgetExceededError(pairs, budget)
     attained: set[int] = set()
     witnesses: dict[int, Witness] = {}
     for b_tuple, overlaps in _distinct_profiles(p, t):
@@ -201,11 +201,8 @@ def spectrum_fixed_interval(
 ) -> SpectrumReport:
     """All values of r(A, B, B) over |A| = s with B frozen to {0..t-1}."""
     params = Params(p, s, t)
-    _check_budget(budget)
+    _check_budget(comb(p, s), budget)
     started = time.perf_counter()
-    n_sets = comb(p, s)
-    if n_sets > budget:
-        raise BudgetExceededError(n_sets, budget)
     values = [shift_overlap(p, t, a) for a in range(p)]
     b_tuple = tuple(range(t))
     attained: set[int] = set()
@@ -271,11 +268,8 @@ def schur_spectrum(
 ) -> SpectrumReport:
     """All values of the Schur count r(A, A, A) over |A| = s."""
     params = Params(p, s, s)
-    _check_budget(budget)
+    _check_budget(comb(p, s), budget)
     started = time.perf_counter()
-    n_sets = comb(p, s)
-    if n_sets > budget:
-        raise BudgetExceededError(n_sets, budget)
     attained: set[int] = set()
     witnesses: dict[int, Witness] = {}
     for a_tuple in combinations(range(p), s):
@@ -326,7 +320,7 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
     """
     if p_min > p_max:
         raise DomainError(f"empty modulus range [{p_min}, {p_max}]")
-    _check_budget(budget)
+    _check_budget(0, budget)  # validates the budget only
     records: list[ExceptionRecord] = []
     skipped: list[tuple[int, int, int]] = []
     instances = 0

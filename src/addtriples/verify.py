@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bounds, counting
@@ -77,7 +78,7 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
     summary = ModulusSummary(p=p, prime=prime, trials=trials)
     if not prime:
         summary.skipped = PRIME_ONLY_CHECKS
-    counts = summary.checks
+    tally: Counter[str] = Counter()
 
     def fail(trial, check, detail, a, b):
         summary.violations.append(
@@ -94,14 +95,14 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
             "layers": counting.count_layers(a, b),
             "convolution": counting.count_convolution(a, b),
         }
-        counts["four-way-agreement"] = counts.get("four-way-agreement", 0) + 1
+        tally["four-way-agreement"] += 1
         if any(v != r for v in others.values()):
             fail(trial, "four-way-agreement", f"naive={r}, {others}", a, b)
             continue
 
         rhs = counting.complement_identity_rhs(p, s, t)
         comp = counting.count_shift(a.complement(), b.complement())
-        counts["complement-identity"] = counts.get("complement-identity", 0) + 1
+        tally["complement-identity"] += 1
         if r + comp != rhs:
             fail(trial, "complement-identity", f"{r} + {comp} != {rhs}", a, b)
 
@@ -109,11 +110,11 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
             continue
 
         cd = bounds.cauchy_davenport_check(a, b)
-        counts["sumset-inequality"] = counts.get("sumset-inequality", 0) + 1
+        tally["sumset-inequality"] += 1
         if not cd.holds:
             fail(trial, "sumset-inequality", f"|A+B|={cd.lhs} < {cd.rhs}", a, b)
 
-        counts["layer-inequalities"] = counts.get("layer-inequalities", 0) + 1
+        tally["layer-inequalities"] += 1
         for j, check in enumerate(bounds.pollard_check_sweep(a, b), start=1):
             if not check.holds:
                 fail(trial, "layer-inequalities", f"j={j}: {check.lhs} < {check.rhs}", a, b)
@@ -121,10 +122,11 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
 
         f = bounds.lower_bound(p, s, t)
         g = bounds.upper_bound(p, s, t)
-        counts["bound-sandwich"] = counts.get("bound-sandwich", 0) + 1
+        tally["bound-sandwich"] += 1
         if not f <= r <= g:
             fail(trial, "bound-sandwich", f"r={r} outside [{f}, {g}]", a, b)
 
+    summary.checks = dict(tally)
     return summary
 
 

@@ -4,7 +4,7 @@ Everything here is written for transparency, not speed, and stays
 independent of the library code it checks.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def brute_count(p, a_elems, b_elems):
@@ -53,3 +53,18 @@ def first_witnesses(p, s, t):
         for a in combinations(range(p), s):
             found.setdefault(brute_count(p, a, b), (a, b))
     return found
+
+
+def lexmax_selection(counts, s, r):
+    """The size-s, sum-r count vector over a multiset that is lex-max from the largest value down.
+
+    ``counts`` maps value -> multiplicity. Count vectors are enumerated with the
+    largest value's count varying slowest and every count descending, so the
+    first match is the lex-max one. Returns a value -> count dict in descending
+    value order without zero counts, or None when nothing matches.
+    """
+    values = sorted(counts, reverse=True)
+    for vector in product(*(range(counts[v], -1, -1) for v in values)):
+        if sum(vector) == s and sum(v * c for v, c in zip(values, vector)) == r:
+            return {v: c for v, c in zip(values, vector) if c}
+    return None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from addtriples import bounds
+from addtriples.construction import extreme_sums
 from addtriples.residues import DomainError, ResidueSet, make_set
 
 from oracles import brute_count
@@ -231,3 +232,56 @@ class TestGrids:
             for s in range(1, p):
                 assert fs[s - 1] == bounds.schur_lower_bound(p, s)
                 assert gs[s - 1] == bounds.schur_upper_bound(p, s)
+
+
+class TestExactAtMaxModulus:
+    """At p = 2^31 - 1 the scalar API returns Python ints equal to the paper's formulas."""
+
+    P = 2**31 - 1
+    T_BIG = (P + 1) // 2 + 5  # 2t >= p + 1 with 2t - p + 1 = 12
+    # (P - 1, P - 2) squares s + 2t - p = 2p - 5, which overflows int64
+    POINTS = [(5, 10), (P - 1, 10), (10**9, 10**9), (3, P - 1), (P - 1, P - 1),
+              (P - 1, P - 2), (5, T_BIG), (10**9, T_BIG), (P - 1, T_BIG)]
+
+    @staticmethod
+    def paper_forms(p, s, t):
+        """(case, value) for f, g, r1 and r2, evaluated inline with Python ints."""
+        tt = 2 * t
+        middle = (s + tt - p) ** 2 // 4
+        big = -(-s * (4 * t - s) // 4)
+        f = (("f0", 0) if tt <= p - s + 1 else ("f1", middle) if tt <= p + s - 2
+             else ("f2", s * (tt - p)))
+        g = (("g0", t * t) if tt <= s else ("g1", big) if tt <= 2 * p - s - 1
+             else ("g2", s * (tt - p) + (p - t) ** 2))
+        if tt <= p - 1:
+            r1 = ("r1a", 0) if s <= p - tt + 1 else ("r1b", middle)
+            r2 = ("r2a", big) if s <= tt - 1 else ("r2b", t * t)
+        else:
+            r1 = ("r1c", s * (tt - p)) if s <= tt - p + 1 else ("r1d", middle)
+            r2 = ("r2c", big) if s <= 2 * p - tt - 1 else ("r2d", s * (tt - p) + (p - t) ** 2)
+        return f, g, r1, r2
+
+    @staticmethod
+    def paper_schur(p, s):
+        lower = ("sf0", 0) if 3 * s <= p + 1 else ("sf1", (3 * s - p) ** 2 // 4)
+        upper = (("sg0", -(-3 * s * s // 4)) if 3 * s <= 2 * p + 1
+                 else ("sg1", s * (2 * s - p) + (p - s) ** 2))
+        return lower, upper
+
+    def test_every_case_is_exact(self):
+        p = self.P
+        seen = set()
+        for s, t in self.POINTS:
+            got = (bounds.lower_bound(p, s, t), bounds.upper_bound(p, s, t), *extreme_sums(p, s, t))
+            for value, (case, expected) in zip(got, self.paper_forms(p, s, t)):
+                assert type(value) is int and value == expected, (case, s, t)
+                seen.add(case)
+        for s in (5, 10**9, p - 1):
+            got = (bounds.schur_lower_bound(p, s), bounds.schur_upper_bound(p, s))
+            for value, (case, expected) in zip(got, self.paper_schur(p, s)):
+                assert type(value) is int and value == expected, (case, s)
+                seen.add(case)
+        cases = {f"{name}{i}" for name in ("f", "g") for i in range(3)}
+        cases |= {f"{name}{i}" for name in ("r1", "r2") for i in "abcd"}
+        cases |= {"sf0", "sf1", "sg0", "sg1"}
+        assert seen == cases

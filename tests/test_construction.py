@@ -19,7 +19,7 @@ from addtriples.construction import (
 )
 from addtriples.residues import DomainError, make_set
 
-from oracles import brute_count, pair_multiset
+from oracles import brute_count, lexmax_selection, pair_multiset
 
 
 class TestShiftOverlap:
@@ -161,6 +161,23 @@ class TestSelectMultisubset:
         with pytest.raises(UnattainableTargetError) as excinfo:
             select_multisubset(profile, 7, 24)
         assert (excinfo.value.r1, excinfo.value.r2) == (25, 30)
+
+    def test_matches_lexmax_oracle_for_every_target_to_p13(self):
+        # The overlap multiset comes from brute_count, not from the profile builder.
+        for p in range(3, 14, 2):
+            for t in range(1, p):
+                counts = Counter(brute_count(p, [a], range(t)) for a in range(p))
+                ascending = sorted(counts.elements())
+                profile = build_shift_profile(p, t)
+                for s in range(1, p + 1):
+                    r1, r2 = sum(ascending[:s]), sum(ascending[-s:])
+                    for r in range(r1, r2 + 1):
+                        selection = select_multisubset(profile, s, r)
+                        expected = lexmax_selection(counts, s, r)
+                        assert list(selection.items()) == list(expected.items()), (p, s, t, r)
+                    for r in (r1 - 1, r2 + 1):
+                        with pytest.raises(UnattainableTargetError):
+                            select_multisubset(profile, s, r)
 
     @given(construction_instances())
     def test_selection_contract(self, args):
