@@ -85,12 +85,12 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--output", default=None, help="write to this path instead of stdout")
+    pst = argparse.ArgumentParser(add_help=False)  # the instance (p, s, t)
+    for flag in ("--p", "--s", "--t"):
+        pst.add_argument(flag, type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    b = sub.add_parser("bounds", parents=[common], help="closed-form interval [f, g]")
-    b.add_argument("--p", type=int, required=True)
-    b.add_argument("--s", type=int, required=True)
-    b.add_argument("--t", type=int, required=True)
+    sub.add_parser("bounds", parents=[common, pst], help="closed-form interval [f, g]")
 
     c = sub.add_parser("count", parents=[common], help="count triples for explicit sets")
     c.add_argument("--p", type=int, required=True)
@@ -98,16 +98,10 @@ def build_parser() -> _Parser:
     c.add_argument("--set-b", type=_residue_list, required=True)
     c.add_argument("--method", choices=[*COUNT_METHODS, "all"], default="auto")
 
-    k = sub.add_parser("construct", parents=[common], help="build A achieving a target count")
-    k.add_argument("--p", type=int, required=True)
-    k.add_argument("--s", type=int, required=True)
-    k.add_argument("--t", type=int, required=True)
+    k = sub.add_parser("construct", parents=[common, pst], help="build A achieving a target count")
     k.add_argument("--r", type=int, required=True)
 
-    sp = sub.add_parser("spectrum", parents=[common], help="attained values for (p, s, t)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
+    sp = sub.add_parser("spectrum", parents=[common, pst], help="attained values for (p, s, t)")
     sp.add_argument("--mode", type=_mode, default="exhaustive",
                     help="exhaustive, fixed-interval-B or multiset-dp")
     sp.add_argument("--witnesses", action="store_true", help="record one witness per value")
@@ -142,7 +136,7 @@ def _witness_rows(witnesses: dict[int, Witness]) -> list[dict]:
     ]
 
 
-def _spectrum_payload(report: SpectrumReport, timing: bool) -> dict:
+def _spectrum_output(report: SpectrumReport, timing: bool):
     payload = {
         "p": report.p,
         "s": report.s,
@@ -159,21 +153,15 @@ def _spectrum_payload(report: SpectrumReport, timing: bool) -> dict:
         payload["witnesses"] = _witness_rows(report.witnesses)
     if timing:
         payload["elapsed"] = report.elapsed
-    return payload
+    return payload, [_csv_row(payload)], EXIT_OK
 
 
-def _spectrum_csv_row(report: SpectrumReport) -> dict:
+def _csv_row(payload: dict) -> dict:
+    """A CSV row from a JSON payload: witnesses and elapsed dropped, lists joined with ';'."""
     return {
-        "p": report.p,
-        "s": report.s,
-        "t": report.t,
-        "mode": report.mode,
-        "f": report.f,
-        "g": report.g,
-        "prime": report.prime,
-        "attained": ";".join(map(str, report.attained)),
-        "gaps": ";".join(map(str, report.gaps)),
-        "exceptions": ";".join(map(str, report.exceptions)),
+        key: ";".join(map(str, value)) if isinstance(value, list) else value
+        for key, value in payload.items()
+        if key not in ("witnesses", "elapsed")
     }
 
 
@@ -221,20 +209,17 @@ def _run_construct(args):
 
 
 def _run_spectrum(args):
-    if args.mode == "exhaustive":
-        report = spectrum_exhaustive(args.p, args.s, args.t, want_witnesses=args.witnesses,
-                                     budget=args.budget)
-    elif args.mode == "fixed-interval-B":
-        report = spectrum_fixed_interval(args.p, args.s, args.t,
-                                         want_witnesses=args.witnesses, budget=args.budget)
-    else:
+    if args.mode == "multiset-dp":
         report = spectrum_multiset_dp(args.p, args.s, args.t)
-    return _spectrum_payload(report, args.timing), [_spectrum_csv_row(report)], EXIT_OK
+    else:
+        engine = spectrum_exhaustive if args.mode == "exhaustive" else spectrum_fixed_interval
+        report = engine(args.p, args.s, args.t, want_witnesses=args.witnesses, budget=args.budget)
+    return _spectrum_output(report, args.timing)
 
 
 def _run_schur(args):
     report = schur_spectrum(args.p, args.s, want_witnesses=args.witnesses, budget=args.budget)
-    return _spectrum_payload(report, args.timing), [_spectrum_csv_row(report)], EXIT_OK
+    return _spectrum_output(report, args.timing)
 
 
 def scan_payload(result: ScanResult) -> dict:
@@ -252,13 +237,8 @@ def scan_payload(result: ScanResult) -> dict:
 
 
 def _run_scan(args):
-    result = exception_scan(args.p_min, args.p_max, budget=args.budget)
-    rows = [
-        {"p": rec.p, "s": rec.s, "t": rec.t, "f": rec.f, "g": rec.g,
-         "exceptions": ";".join(map(str, rec.values))}
-        for rec in result.records
-    ]
-    return scan_payload(result), rows, EXIT_OK
+    payload = scan_payload(exception_scan(args.p_min, args.p_max, budget=args.budget))
+    return payload, [_csv_row(record) for record in payload["records"]], EXIT_OK
 
 
 def _run_verify(args):

@@ -12,14 +12,16 @@ The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
 over all A are the exactly-s selection sums of B's overlap multiset
 (bounded-multiplicity subset-sum DP over its histogram). Translating B
 changes no count, so ``exhaustive`` visits only the B that contain 0 and
-runs the DP once per distinct histogram.
+runs the DP once per distinct histogram. The histograms depend on (p, t)
+alone, so the scanner makes one such pass per (p, t) for all its sizes s.
 
 Reports record the attained values, the closed-form interval [f, g], the
 gaps inside it and any exceptional values outside it. For prime p there are
 provably no gaps and no exceptions; for composite odd p exceptions exist
 (the scanner below hunts for them). An exhaustive witness takes the lex-first
 t-set B containing 0 that attains the value, then the lex-first s-set A for
-that B, and is recounted by the naive counting oracle before it is returned.
+that B, and is recounted by the naive counting oracle before it is returned;
+the scanner makes witnesses for its exceptions only.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
+from math import comb, lgamma, log, prod
 
 import numpy as np
 
@@ -41,20 +43,28 @@ DEFAULT_PAIR_BUDGET = 10**8
 
 Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
+_PRINTABLE = 10**4300  # Python's default int -> str limit is 4300 digits
+
 
 class BudgetExceededError(RuntimeError):
     """Estimated enumeration cost exceeds the configured budget."""
 
     def __init__(self, estimated: int, budget: int):
-        super().__init__(f"estimated cost {estimated} exceeds budget {budget}")
+        shown = estimated if estimated < _PRINTABLE else "at least 10^4300"
+        super().__init__(f"estimated cost {shown} exceeds budget {budget}")
         self.estimated = estimated
         self.budget = budget
 
 
-def _check_budget(cost: int, budget: int) -> None:
-    """Reject a budget below 1, then refuse a call whose estimated cost exceeds it."""
+def _check_budget(budget: int, *choices: tuple[int, int]) -> None:
+    """Reject a budget below 1, then refuse a call whose cost prod C(n, k) exceeds it."""
     if budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
+    # a cost far above both the budget and 10^4300 is refused from its lgamma estimate
+    log_cost = sum(lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) for n, k in choices)
+    if log_cost > log(max(budget, _PRINTABLE)) + 1:
+        raise BudgetExceededError(max(budget + 1, _PRINTABLE), budget)
+    cost = prod(comb(n, k) for n, k in choices)
     if cost > budget:
         raise BudgetExceededError(cost, budget)
 
@@ -82,9 +92,7 @@ class SpectrumReport:
 
 
 def _make_report(
-    p: int,
-    s: int,
-    t: int,
+    params: Params,
     mode: str,
     attained: set[int],
     f: int,
@@ -96,16 +104,16 @@ def _make_report(
     gaps = tuple(v for v in range(f, g + 1) if v not in attained)
     exceptions = tuple(v for v in ordered if v < f or v > g)
     return SpectrumReport(
-        p=p,
-        s=s,
-        t=t,
+        p=params.p,
+        s=params.s,
+        t=params.t,
         mode=mode,
         attained=ordered,
         f=f,
         g=g,
         gaps=gaps,
         exceptions=exceptions,
-        prime=is_prime(p),
+        prime=params.prime,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,
     )
@@ -156,6 +164,29 @@ def _first_selections(values: list[int], size: int, targets: list[int]):
         yield target, tuple(chosen)
 
 
+def _exhaustive_pass(p: int, t: int, wanted: dict[int, int]):
+    """One histogram walk for every size s in ``wanted``: (attained, witnesses) by s.
+
+    ``wanted[s]`` is a bitmask over the values r that get a recounted witness
+    (-1 for all); each histogram runs one selection DP up to the largest s.
+    """
+    attained = dict.fromkeys(wanted, 0)
+    witnesses: dict[int, dict[int, Witness]] = {s: {} for s in wanted}
+    for b_tuple, overlaps in _distinct_profiles(p, t):
+        rows = _attainable_selection_sums(Counter(overlaps), max(wanted))
+        for s, mask in wanted.items():
+            new = rows[s] & ~attained[s]
+            attained[s] |= new
+            if new & mask:
+                for r, a_tuple in _first_selections(overlaps, s, bit_positions(new & mask)):
+                    check = counting.count_naive(make_set(p, a_tuple), make_set(p, b_tuple))
+                    if check != r:
+                        raise VerificationError(
+                            f"witness for {r} at (p={p}, s={s}, t={t}) recounts to {check}")
+                    witnesses[s][r] = (a_tuple, b_tuple)
+    return attained, witnesses
+
+
 def spectrum_exhaustive(
     p: int,
     s: int,
@@ -170,26 +201,22 @@ def spectrum_exhaustive(
     Witnesses follow the module's rule and are recounted by ``count_naive``.
     """
     params = Params(p, s, t)
-    _check_budget(comb(p, s) * comb(p, t), budget)
+    _check_budget(budget, (p, s), (p, t))
     started = time.perf_counter()
-    attained: set[int] = set()
-    witnesses: dict[int, Witness] = {}
-    for b_tuple, overlaps in _distinct_profiles(p, t):
-        new = [r for r in _attainable_selection_sums(Counter(overlaps), s) if r not in attained]
-        attained.update(new)
-        if not want_witnesses:
-            continue
-        for r, a_tuple in _first_selections(overlaps, s, new):
-            check = counting.count_naive(make_set(p, a_tuple), make_set(p, b_tuple))
-            if check != r:
-                raise VerificationError(
-                    f"witness for {r} at (p={p}, s={s}, t={t}) recounts to {check}")
-            witnesses[r] = (a_tuple, b_tuple)
+    attained, witnesses = _exhaustive_pass(p, t, {s: -1 if want_witnesses else 0})
     return _make_report(
-        params.p, s, t, "exhaustive", attained,
+        params, "exhaustive", set(bit_positions(attained[s])),
         lower_bound(p, s, t), upper_bound(p, s, t),
-        witnesses if want_witnesses else None, started,
+        witnesses[s] if want_witnesses else None, started,
     )
+
+
+def _first_a_per_value(p: int, s: int, count) -> dict[int, tuple[int, ...]]:
+    """The lex-first s-set A for each value of ``count(A)`` over the s-subsets of Z_p."""
+    first: dict[int, tuple[int, ...]] = {}
+    for a_tuple in combinations(range(p), s):
+        first.setdefault(count(a_tuple), a_tuple)
+    return first
 
 
 def spectrum_fixed_interval(
@@ -201,31 +228,24 @@ def spectrum_fixed_interval(
 ) -> SpectrumReport:
     """All values of r(A, B, B) over |A| = s with B frozen to {0..t-1}."""
     params = Params(p, s, t)
-    _check_budget(comb(p, s), budget)
+    _check_budget(budget, (p, s))
     started = time.perf_counter()
     values = [shift_overlap(p, t, a) for a in range(p)]
-    b_tuple = tuple(range(t))
-    attained: set[int] = set()
-    witnesses: dict[int, Witness] = {}
-    for a_tuple in combinations(range(p), s):
-        r = sum(values[a] for a in a_tuple)
-        if r not in attained:
-            attained.add(r)
-            if want_witnesses:
-                witnesses[r] = (a_tuple, b_tuple)
+    first = _first_a_per_value(p, s, lambda a_tuple: sum(values[a] for a in a_tuple))
+    witnesses = {r: (a_tuple, tuple(range(t))) for r, a_tuple in first.items()}
     return _make_report(
-        params.p, s, t, "fixed-interval-B", attained,
+        params, "fixed-interval-B", set(first),
         lower_bound(p, s, t), upper_bound(p, s, t),
         witnesses if want_witnesses else None, started,
     )
 
 
-def _attainable_selection_sums(counts: dict[int, int], size: int) -> tuple[int, ...]:
-    """Subset-sum DP over a multiset: sums of exactly ``size`` elements.
+def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
+    """Subset-sum DP over a multiset: sums of exactly c elements for every c <= ``size``.
 
     Multiplicities are capped at ``size`` and binary-split, so one DP item
-    contributes k copies at once; row c of the table is a bitmask over sums
-    attainable with exactly c elements.
+    contributes k copies at once; row c of the returned table is a bitmask
+    over sums attainable with exactly c elements.
     """
     items: list[tuple[int, int]] = []
     for v, m in counts.items():
@@ -244,17 +264,16 @@ def _attainable_selection_sums(counts: dict[int, int], size: int) -> tuple[int, 
             src = rows[c - k]
             if src:
                 rows[c] |= src << add
-    return bit_positions(rows[size])
+    return rows
 
 
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
     """The fixed-interval spectrum computed without enumerating sets at all."""
     params = Params(p, s, t)
     started = time.perf_counter()
-    profile = build_shift_profile(p, t)
-    attained = set(_attainable_selection_sums(profile.counts, s))
+    rows = _attainable_selection_sums(build_shift_profile(p, t).counts, s)
     return _make_report(
-        params.p, s, t, "multiset-dp", attained,
+        params, "multiset-dp", set(bit_positions(rows[s])),
         lower_bound(p, s, t), upper_bound(p, s, t),
         None, started,
     )
@@ -268,19 +287,17 @@ def schur_spectrum(
 ) -> SpectrumReport:
     """All values of the Schur count r(A, A, A) over |A| = s."""
     params = Params(p, s, s)
-    _check_budget(comb(p, s), budget)
+    _check_budget(budget, (p, s))
     started = time.perf_counter()
-    attained: set[int] = set()
-    witnesses: dict[int, Witness] = {}
-    for a_tuple in combinations(range(p), s):
+
+    def schur_count(a_tuple: tuple[int, ...]) -> int:
         a_set = ResidueSet.from_elements(p, a_tuple)
-        r = counting.count_shift(a_set, a_set)
-        if r not in attained:
-            attained.add(r)
-            if want_witnesses:
-                witnesses[r] = (a_tuple, a_tuple)
+        return counting.count_shift(a_set, a_set)
+
+    first = _first_a_per_value(p, s, schur_count)
+    witnesses = {r: (a_tuple, a_tuple) for r, a_tuple in first.items()}
     return _make_report(
-        params.p, s, s, "schur-exhaustive", attained,
+        params, "schur-exhaustive", set(first),
         schur_lower_bound(p, s), schur_upper_bound(p, s),
         witnesses if want_witnesses else None, started,
     )
@@ -312,39 +329,42 @@ class ScanResult:
 def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) -> ScanResult:
     """Hunt for out-of-interval spectrum values over composite odd moduli.
 
-    For every composite odd p in [p_min, p_max] and every (s, t) whose
-    exhaustive enumeration fits the per-instance budget, run the exhaustive
-    spectrum and keep any values outside [f, g]. Over-budget instances are
-    recorded as skipped rather than failing the scan. Every witness is
-    recounted by ``spectrum_exhaustive`` before it reaches the record.
+    For every composite odd p in [p_min, p_max], each (s, t) whose
+    C(p,s) * C(p,t) pairs fit the per-instance budget runs, and the rest are
+    recorded as skipped rather than failing the scan. One exhaustive pass per
+    (p, t) serves every admissible s, and witnesses are made, and recounted
+    by ``count_naive``, only for the values outside [f, g].
     """
     if p_min > p_max:
         raise DomainError(f"empty modulus range [{p_min}, {p_max}]")
-    _check_budget(0, budget)  # validates the budget only
+    _check_budget(budget)  # validates the budget only
     records: list[ExceptionRecord] = []
     skipped: list[tuple[int, int, int]] = []
     instances = 0
     for p in range(p_min | 1, p_max + 1, 2):
         if p < 9 or is_prime(p):
             continue
-        for s in range(1, p):
-            for t in range(1, p):
-                try:
-                    report = spectrum_exhaustive(p, s, t, want_witnesses=True, budget=budget)
-                except BudgetExceededError:
+        for t in range(1, p):
+            bounds: dict[int, tuple[int, int]] = {}
+            for s in range(1, p):
+                if comb(p, s) * comb(p, t) > budget:
                     skipped.append((p, s, t))
-                    continue
-                instances += 1
-                if report.exceptions:
-                    witnesses = {value: report.witnesses[value] for value in report.exceptions}
-                    records.append(
-                        ExceptionRecord(p, s, t, report.f, report.g, report.exceptions, witnesses)
-                    )
+                else:
+                    bounds[s] = (lower_bound(p, s, t), upper_bound(p, s, t))
+            if not bounds:
+                continue
+            outside = {s: ~((1 << (g + 1)) - (1 << f)) for s, (f, g) in bounds.items()}
+            _, witnesses = _exhaustive_pass(p, t, outside)
+            instances += len(bounds)
+            for s, (f, g) in bounds.items():
+                if witnesses[s]:
+                    found = dict(sorted(witnesses[s].items()))
+                    records.append(ExceptionRecord(p, s, t, f, g, tuple(found), found))
     return ScanResult(
         p_min=p_min,
         p_max=p_max,
         budget=budget,
-        records=tuple(records),
-        skipped=tuple(skipped),
+        records=tuple(sorted(records, key=lambda record: (record.p, record.s, record.t))),
+        skipped=tuple(sorted(skipped)),
         instances_run=instances,
     )

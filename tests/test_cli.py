@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,21 @@ class TestContract:
                                      "--output", str(target))
             assert code == 1 and out == ""
             assert "cannot write" in err and "Traceback" not in err
+
+    def test_huge_budget_refusals_exit_3_quickly(self, capsys):
+        # exact costs of 4500 to 600,000 digits: past Python's int -> str limit, and slow to compute
+        for argv in (
+            ("spectrum", "--p", "15001", "--s", "7500", "--t", "7500", "--mode", "fixed-interval-B"),
+            ("schur", "--p", "15001", "--s", "7500"),
+            ("spectrum", "--p", "1000001", "--s", "500000", "--t", "500000"),
+        ):
+            started = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - started < 1.0, argv
+            assert code == 3 and out == "", argv
+            assert "Traceback" not in err
+            assert err == ("addtriples: budget exceeded: estimated cost at least 10^4300 "
+                           "exceeds budget 100000000\n")
 
     def test_jobs_is_accepted_and_ignored(self, capsys):
         argv = ("spectrum", "--p", "9", "--s", "7", "--t", "6", "--witnesses")

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,27 @@ class TestExhaustive:
         with pytest.raises(BudgetExceededError) as excinfo:
             spectrum_exhaustive(21, 10, 10, budget=1000)
         assert excinfo.value.estimated > 1000
+
+    def test_budget_message_keeps_a_printable_exact_cost(self):
+        # C(14281, 7140) has 4297 digits, inside Python's 4300-digit int -> str limit
+        with pytest.raises(BudgetExceededError) as excinfo:
+            spectrum_fixed_interval(14281, 7140, 1)
+        assert excinfo.value.estimated == comb(14281, 7140)
+        assert str(excinfo.value) == f"estimated cost {comb(14281, 7140)} exceeds budget {10**8}"
+
+    def test_budget_message_past_the_printable_limit(self):
+        # C(14293, 7061) is just above 10^4300: computed exactly, since it is near that
+        # limit, but too long to print in full
+        with pytest.raises(BudgetExceededError) as excinfo:
+            spectrum_fixed_interval(14293, 7061, 1)
+        assert excinfo.value.estimated == comb(14293, 7061) > 10**4300
+        assert str(excinfo.value) == f"estimated cost at least 10^4300 exceeds budget {10**8}"
+
+    def test_budget_refusal_far_above_is_a_lower_bound(self):
+        # about 10^602052 pairs: refused from the lgamma estimate, never computed
+        with pytest.raises(BudgetExceededError) as excinfo:
+            spectrum_exhaustive(1000001, 500000, 500000, budget=10**4200)
+        assert excinfo.value.estimated > 10**4200
 
     def test_witnesses_follow_the_stated_rule(self):
         # B is the lex-first t-set containing 0 that attains r, A the lex-first s-set for that B
@@ -191,6 +213,34 @@ class TestExceptionScan:
         assert [list(item) for item in result.skipped] == expected["skipped"]
         found = [[r.p, r.s, r.t, list(r.values)] for r in result.records]
         assert found == expected["exceptions"]
+
+    def test_multi_size_pass_equals_single_size_path(self):
+        # all 260 instances: each record is what spectrum_exhaustive reports outside
+        # [f, g], so no attained mask or DP row leaks between the sizes of one pass
+        result = exception_scan(9, 15, budget=10**20)
+        assert result.instances_run == 260 and not result.skipped
+        records = {(r.p, r.s, r.t): r for r in result.records}
+        for p in (9, 15):
+            for s in range(1, p):
+                for t in range(1, p):
+                    report = spectrum_exhaustive(p, s, t, want_witnesses=True, budget=10**20)
+                    record = records.pop((p, s, t), None)
+                    if not report.exceptions:
+                        assert record is None, (p, s, t)
+                        continue
+                    assert (record.f, record.g) == (report.f, report.g)
+                    assert record.values == report.exceptions, (p, s, t)
+                    expected = {value: report.witnesses[value] for value in report.exceptions}
+                    assert record.witnesses == expected, (p, s, t)
+        assert not records
+
+    def test_scan_witnesses_match_brute_oracle(self):
+        result = exception_scan(9, 9)
+        assert result.records
+        for record in result.records:
+            expected = first_witnesses(record.p, record.s, record.t)
+            for value, witness in record.witnesses.items():
+                assert witness == expected[value], (record.s, record.t, value)
 
     def test_all_scan_witnesses_reverify(self):
         result = exception_scan(9, 9)
