@@ -276,7 +276,42 @@ _RUNNERS = {
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
+    is set. Here only the containers are walked in Python: strings go through
+    json's own string encoder, ints through ``str``, other scalars through
+    ``json.dumps``, and a list of plain ints is joined at once. Dict keys must
+    be strings, as in every payload the CLI builds.
+    """
+    return _render(payload, "\n") + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii  # the string writer json.dumps uses
+
+
+def _render(value, pad: str) -> str:
+    # ``pad`` is a newline plus the indent of the line that holds ``value``;
+    # exact types, so bools (ints too) and other subclasses go to json.dumps
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = (_quote(key) + ": " + _render(item, inner) for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            parts = map(str, value)
+        else:
+            parts = (_render(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    return json.dumps(value)
 
 
 def render_csv(rows: list[dict]) -> str:

@@ -286,9 +286,9 @@ class ConstructionWitness:
 def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     """Build A with r(A, B, B) = r for B = {0..t-1}; works for every odd p.
 
-    The achieved count is recomputed through the counting module before the
-    witness is returned; a mismatch would be a bug and raises
-    :class:`VerificationError`.
+    The achieved count is recomputed from the residues of A by
+    :func:`counting.count_interval`, in O(s), before the witness is
+    returned; a mismatch would be a bug and raises :class:`VerificationError`.
     """
     params = Params(p, s, t)
     r = operator.index(r)
@@ -301,7 +301,7 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     b_set = interval_set(p, t)
     if a_set.cardinality != s:
         raise VerificationError(f"witness has {a_set.cardinality} elements, wanted {s}")
-    achieved = counting.count_shift(a_set, b_set)
+    achieved = counting.count_interval(a_set, b_set)
     if achieved != r:
         raise VerificationError(f"witness count {achieved} != target {r} at (p={p}, s={s}, t={t})")
     return ConstructionWitness(

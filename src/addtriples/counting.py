@@ -15,6 +15,10 @@ deliberately different mechanisms so that they can cross-check one another:
 number; it is :func:`count_shift`, the fastest of the four at every modulus.
 All four read the members of A and B through :meth:`ResidueSet.elements`.
 
+:func:`count_interval` is not a fifth cross-check route: it is a specialised
+recount for B = {0..t-1} only, in O(|A|) from the residues of A, which
+:func:`construct` uses to recount every witness it builds.
+
 :func:`count_naive` and the representation counts behind :func:`count_layers`
 both walk the pair sums a + b in numpy blocks of whole rows of A, each
 holding at most max(_PAIR_BLOCK, |B|) pairs (2^20 pairs, 8 MB, unless B alone
@@ -78,6 +82,21 @@ def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
     for a in a_set.elements():
         total += (((bb << a) | (bb >> (p - a))) & bb).bit_count()
     return total
+
+
+def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
+    """r(A, B, B) for the interval B = {0..t-1} only, by O(|A|) arithmetic on the members of A.
+
+    For 0 <= a < p the arc a + B is the integers a..a+t-1: its part below p
+    meets B in max(0, t - a) residues and its part from p up, reduced, in
+    max(0, a + t - p). Raises :class:`DomainError` for any other B.
+    """
+    p = common_modulus(a_set, b_set)
+    t = b_set.cardinality
+    if b_set.bits.bit_length() != t:  # t members, the highest at t - 1
+        raise DomainError(f"B is not the interval {{0..{t - 1}}} of Z_{p}")
+    a = _index(a_set)
+    return int((np.maximum(0, t - a) + np.maximum(0, a + t - p)).sum())
 
 
 # The most recent (A, B, N) triple. A verify trial asks for the same pair's

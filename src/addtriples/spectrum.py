@@ -6,14 +6,18 @@ Three modes with very different costs:
 * ``fixed-interval-B``  - all C(p,s) sets A against B = {0..t-1}.
 * ``multiset-dp``       - no enumeration at all: the same engine run on
   the interval's overlap profile alone, which by the selection equivalence
-  must reproduce the fixed-interval spectrum.
+  must reproduce the fixed-interval spectrum. It runs only to size
+  min(s, p - s): the complement of an s-selection is a (p - s)-selection,
+  and the p overlaps sum to t^2.
 
 The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
 over all A are the exactly-s selection sums of B's overlap multiset
-(bounded-multiplicity subset-sum DP over its histogram). Translating B
-changes no count, so ``exhaustive`` visits only the B that contain 0 and
-runs the DP once per distinct histogram. The histograms depend on (p, t)
-alone, so the scanner makes one such pass per (p, t) for all its sizes s.
+(bounded-multiplicity subset-sum DP over its histogram, on the values less
+the least one, so rows stay narrow when every overlap is at least 2t - p).
+Translating B changes no count, so ``exhaustive`` visits only the B that
+contain 0 and runs the DP once per distinct histogram. The histograms depend
+on (p, t) alone, so the scanner makes one such pass per (p, t) for all its
+sizes s.
 
 Reports record the attained values, the closed-form interval [f, g], the
 gaps inside it and any exceptional values outside it. For prime p there are
@@ -21,7 +25,9 @@ provably no gaps and no exceptions; for composite odd p exceptions exist
 (the scanner below hunts for them). An exhaustive witness takes the lex-first
 t-set B containing 0 that attains the value, then the lex-first s-set A for
 that B, and is recounted by the naive counting oracle before it is returned;
-the scanner makes witnesses for its exceptions only.
+the scanner makes witnesses for its exceptions only. (``construct``'s
+interval-B witnesses are recounted by ``counting.count_interval`` instead, a
+specialised O(s) recount for B = {0..t-1}, not a fifth cross-check route.)
 """
 
 from __future__ import annotations
@@ -46,12 +52,16 @@ Witness = tuple[tuple[int, ...], tuple[int, ...]]
 _PRINTABLE = 10**4300  # Python's default int -> str limit is 4300 digits
 
 
+def _shown(n: int) -> int | str:
+    """``n`` itself below 10^4300, else the bound it passes."""
+    return n if n < _PRINTABLE else "at least 10^4300"
+
+
 class BudgetExceededError(RuntimeError):
     """Estimated enumeration cost exceeds the configured budget."""
 
     def __init__(self, estimated: int, budget: int):
-        shown = estimated if estimated < _PRINTABLE else "at least 10^4300"
-        super().__init__(f"estimated cost {shown} exceeds budget {budget}")
+        super().__init__(f"estimated cost {_shown(estimated)} exceeds budget {_shown(budget)}")
         self.estimated = estimated
         self.budget = budget
 
@@ -245,15 +255,18 @@ def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
 
     Multiplicities are capped at ``size`` and binary-split, so one DP item
     contributes k copies at once; row c of the returned table is a bitmask
-    over sums attainable with exactly c elements.
+    over sums attainable with exactly c elements. The DP runs on the values
+    less the least value ``low``, so row c spans c * (max - low) bits rather
+    than c * max; each row is shifted back by c * low on return.
     """
+    low = min(counts)
     items: list[tuple[int, int]] = []
     for v, m in counts.items():
         m = min(m, size)
         k = 1
         while m:
             take = min(k, m)
-            items.append((v, take))
+            items.append((v - low, take))
             m -= take
             k <<= 1
     rows = [0] * (size + 1)
@@ -264,16 +277,23 @@ def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
             src = rows[c - k]
             if src:
                 rows[c] |= src << add
-    return rows
+    return [row << (c * low) for c, row in enumerate(rows)]
 
 
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
-    """The fixed-interval spectrum computed without enumerating sets at all."""
+    """The fixed-interval spectrum computed without enumerating sets at all.
+
+    The p overlaps of B sum to t^2, so the residues outside an s-set A give
+    a (p - s)-selection summing to t^2 minus A's: the DP runs only to
+    min(s, p - s) and mirrors the values when that is p - s.
+    """
     params = Params(p, s, t)
     started = time.perf_counter()
-    rows = _attainable_selection_sums(build_shift_profile(p, t).counts, s)
+    size = min(s, p - s)
+    sums = bit_positions(_attainable_selection_sums(build_shift_profile(p, t).counts, size)[size])
+    attained = set(sums) if size == s else {t * t - x for x in sums}
     return _make_report(
-        params, "multiset-dp", set(bit_positions(rows[s])),
+        params, "multiset-dp", attained,
         lower_bound(p, s, t), upper_bound(p, s, t),
         None, started,
     )

@@ -68,3 +68,15 @@ def lexmax_selection(counts, s, r):
         if sum(vector) == s and sum(v * c for v, c in zip(values, vector)) == r:
             return {v: c for v, c in zip(values, vector) if c}
     return None
+
+
+def selection_sums(values, size):
+    """For c = 0..size, the set of sums of c entries of ``values`` taken at distinct positions.
+
+    Entry c of the result collects the sums of c entries among those seen so far.
+    """
+    sums = [{0}] + [set() for _ in range(size)]
+    for seen, v in enumerate(values, start=1):
+        for c in range(min(seen, size), 0, -1):
+            sums[c] |= {x + v for x in sums[c - 1]}
+    return sums

@@ -1,9 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
+import math
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from addtriples import cli
@@ -258,6 +261,54 @@ class TestContract:
             "--method", "all",
         )
         assert recount["count"] == 27 and recount["agree"] is True
+
+
+# JSON-like payloads for the renderer: every scalar json.dumps writes, lists of
+# plain ints (the renderer's fast path) and of bools, tuples, empty containers.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\r", "\x00\x1f", "é", "漢字", "\u2028", "\ud800", "🎲"]),
+)
+_JSON_PAYLOADS = st.recursive(
+    st.one_of(_JSON_SCALARS, st.lists(st.integers()), st.lists(st.booleans())),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(['"', "\\", "é", ""])), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_JSON_PAYLOADS)
+def test_render_json_matches_json_dumps(payload):
+    assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# The default JSON and CSV of a large construct and a mirrored multiset-dp
+# spectrum (s > p/2), pinned byte for byte by sha256.
+@pytest.mark.parametrize("argv, digest", [
+    (("construct", "--p", "100001", "--s", "30000", "--t", "41000", "--r", "900000000"),
+     "ef8e9bc16bdd3fedd86e22359ae745285393ae9613e36ac38250edd4ef7572e8"),
+    (("construct", "--p", "100001", "--s", "30000", "--t", "41000", "--r", "900000000",
+      "--format", "csv"),
+     "327c6c2792da054fff64ad957566a21c4e91fbce2a38f6293b7638062249b726"),
+    (("spectrum", "--p", "401", "--s", "300", "--t", "150", "--mode", "multiset-dp"),
+     "abe61c381d63947327a5e232bd0a327ae820cde0c3716abaa55fff66ae234940"),
+    (("spectrum", "--p", "401", "--s", "300", "--t", "150", "--mode", "multiset-dp",
+      "--format", "csv"),
+     "5368f1c3954e6d9ea8ea81e1b5ff72a6d79c28671f615c251b497193cf19f4da"),
+], ids=["construct-json", "construct-csv", "multiset-dp-json", "multiset-dp-csv"])
+def test_default_output_digest(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parser_reuse_carries_no_state(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from addtriples import bounds
+from addtriples import bounds, counting
 from addtriples.construction import (
     ShiftProfile,
     UnattainableTargetError,
@@ -17,7 +17,7 @@ from addtriples.construction import (
     select_multisubset,
     shift_overlap,
 )
-from addtriples.residues import DomainError, make_set
+from addtriples.residues import DomainError, VerificationError, make_set
 
 from oracles import brute_count, lexmax_selection, pair_multiset
 
@@ -252,6 +252,11 @@ class TestConstruct:
         w = construct(p, s, t, r)
         assert w.a_set.cardinality == s
         assert brute_count(p, list(w.a_set), list(w.b_set)) == r
+
+    def test_recount_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(counting, "count_interval", lambda a, b: -1)
+        with pytest.raises(VerificationError):
+            construct(11, 4, 5, 7)
 
     def test_deterministic(self):
         first = construct(21, 8, 11, 40)

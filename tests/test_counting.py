@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from addtriples import counting
-from addtriples.residues import ResidueSet, IncompatibleSetsError, full_set, make_set
+from addtriples.residues import (
+    DomainError,
+    IncompatibleSetsError,
+    ResidueSet,
+    full_set,
+    interval_set,
+    make_set,
+)
 
 from oracles import brute_count, brute_multiplicities
 
@@ -304,3 +311,32 @@ class TestRepresentationCountsCache:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
+
+
+class TestCountInterval:
+    def test_matches_shift_and_naive_for_every_a_and_t_to_p13(self):
+        for p in range(3, 14, 2):
+            for t in range(p + 1):
+                b = interval_set(p, t)
+                for abits in range(1 << p):
+                    a = ResidueSet(p, abits)
+                    r = counting.count_interval(a, b)
+                    assert r == counting.count_shift(a, b) == counting.count_naive(a, b), (p, t, abits)
+
+    def test_matches_shift_at_random_points_to_large_p(self):
+        rng = random.Random(100001)
+        for p in [100001, 99999, 65537, 30001, *(rng.randrange(3, 100002, 2) for _ in range(16))]:
+            s, t = rng.randint(0, min(p, 20000)), rng.randint(0, p)
+            a = make_set(p, rng.sample(range(p), s))
+            b = interval_set(p, t)
+            assert counting.count_interval(a, b) == counting.count_shift(a, b), (p, s, t)
+
+    def test_refuses_a_b_that_is_not_the_interval_from_0(self):
+        a = make_set(11, [0, 3, 5])
+        for b_elems in ([1], [1, 2, 3], [0, 2], [0, 1, 3], [10, 0, 1], range(1, 11)):
+            with pytest.raises(DomainError):
+                counting.count_interval(a, make_set(11, b_elems))
+
+    def test_modulus_mismatch(self):
+        with pytest.raises(IncompatibleSetsError):
+            counting.count_interval(make_set(5, [0]), interval_set(7, 3))

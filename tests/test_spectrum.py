@@ -17,7 +17,7 @@ from addtriples.spectrum import (
     spectrum_multiset_dp,
 )
 
-from oracles import brute_count, brute_spectrum, first_witnesses
+from oracles import brute_count, brute_spectrum, first_witnesses, selection_sums
 
 SCAN_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "scan_expected.json"
 
@@ -78,6 +78,12 @@ class TestExhaustive:
             spectrum_exhaustive(1000001, 500000, 500000, budget=10**4200)
         assert excinfo.value.estimated > 10**4200
 
+    def test_budget_past_the_printable_limit_is_shown_as_a_bound(self):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            spectrum_exhaustive(1000001, 500000, 500000, budget=10**4400)
+        assert excinfo.value.budget == 10**4400 < excinfo.value.estimated
+        assert str(excinfo.value) == "estimated cost at least 10^4300 exceeds budget at least 10^4300"
+
     def test_witnesses_follow_the_stated_rule(self):
         # B is the lex-first t-set containing 0 that attains r, A the lex-first s-set for that B
         for p, s, t in [(9, 7, 6), (11, 4, 5), (11, 5, 6)]:
@@ -134,6 +140,14 @@ class TestMultisetDP:
 
     def test_no_witnesses(self):
         assert spectrum_multiset_dp(11, 4, 5).witnesses is None
+
+    def test_matches_selection_sum_oracle_for_every_size_to_p41(self):
+        # s on both sides of p/2 (the mirrored half) and t on both sides (overlaps >= 2t - p)
+        for p in range(3, 42, 2):
+            for t in range(1, p):
+                sums = selection_sums([brute_count(p, [a], range(t)) for a in range(p)], p - 1)
+                for s in range(1, p):
+                    assert spectrum_multiset_dp(p, s, t).attained == tuple(sorted(sums[s])), (p, s, t)
 
     def test_interval_exactly_for_all_odd_p_to_99(self):
         # the DP is cheap enough to sweep every (s, t) for every odd p <= 99;
