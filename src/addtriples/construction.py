@@ -248,7 +248,7 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
     """
     p, t = profile.p, profile.t
     floor = profile.floor_value
-    elements: list[int] = []
+    bits = 0
     for v, c in sorted(selection.items(), reverse=True):
         c = operator.index(c)
         if c < 0 or c > profile.counts.get(v, 0):
@@ -258,15 +258,15 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
         if c == 0:
             continue
         if v == t:
-            elements.append(0)
+            bits |= 1
         elif v > floor:
-            elements.append(t - v)
+            bits |= 1 << (t - v)
             if c == 2:
-                elements.append(p - (t - v))
+                bits |= 1 << (p - (t - v))
         else:
             start = t if floor == 0 else p - t
-            elements.extend(range(start, start + c))
-    return ResidueSet.from_elements(p, elements)
+            bits |= ((1 << c) - 1) << start
+    return ResidueSet(p, bits)
 
 
 @dataclass(frozen=True)

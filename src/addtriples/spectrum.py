@@ -19,15 +19,22 @@ contain 0 and runs the DP once per distinct histogram. The histograms depend
 on (p, t) alone, so the scanner makes one such pass per (p, t) for all its
 sizes s.
 
-Reports record the attained values, the closed-form interval [f, g], the
-gaps inside it and any exceptional values outside it. For prime p there are
-provably no gaps and no exceptions; for composite odd p exceptions exist
-(the scanner below hunts for them). An exhaustive witness takes the lex-first
-t-set B containing 0 that attains the value, then the lex-first s-set A for
-that B, and is recounted by the naive counting oracle before it is returned;
-the scanner makes witnesses for its exceptions only. (``construct``'s
+Every mode hands its attained values to the report as one bitmask, and the
+report reads the attained values, the gaps inside the closed-form interval
+[f, g] and any exceptional values outside it off that bitmask. For prime p
+there are provably no gaps and no exceptions; for composite odd p exceptions
+exist (the scanner below hunts for them). An exhaustive witness takes the
+lex-first t-set B containing 0 that attains the value, then the lex-first
+s-set A for that B, and is recounted by the naive counting oracle before it
+is returned; the scanner makes witnesses for its exceptions only. (``construct``'s
 interval-B witnesses are recounted by ``counting.count_interval`` instead, a
 specialised O(s) recount for B = {0..t-1}, not a fifth cross-check route.)
+
+Budgets keep their pricing: C(p,s) * C(p,t) pairs for ``exhaustive`` and for
+each scanned instance, C(p,s) sets A for ``fixed-interval-B`` and the Schur
+spectrum. One rule decides whether a cost exceeds the budget, exactly: the
+lgamma estimate decides when it is more than a factor e from the budget, and
+the exact product is compared otherwise.
 """
 
 from __future__ import annotations
@@ -66,17 +73,33 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def _log_cost(choices: tuple[tuple[int, int], ...]) -> float:
+    """The lgamma estimate of log prod C(n, k), off by far less than 1."""
+    return sum(lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) for n, k in choices)
+
+
+def _over_budget(budget: int, *choices: tuple[int, int]) -> bool:
+    """Exactly whether prod C(n, k) > ``budget``.
+
+    The lgamma estimate decides when it is more than a factor e from the
+    budget; otherwise the exact product is computed and compared.
+    """
+    log_cost, log_budget = _log_cost(choices), log(budget)
+    if abs(log_cost - log_budget) > 1:
+        return log_cost > log_budget
+    return prod(comb(n, k) for n, k in choices) > budget
+
+
 def _check_budget(budget: int, *choices: tuple[int, int]) -> None:
     """Reject a budget below 1, then refuse a call whose cost prod C(n, k) exceeds it."""
     if budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
-    # a cost far above both the budget and 10^4300 is refused from its lgamma estimate
-    log_cost = sum(lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) for n, k in choices)
-    if log_cost > log(max(budget, _PRINTABLE)) + 1:
+    if not _over_budget(budget, *choices):
+        return
+    # a cost far above both the budget and 10^4300 is reported as a bound, never computed
+    if _log_cost(choices) > log(max(budget, _PRINTABLE)) + 1:
         raise BudgetExceededError(max(budget + 1, _PRINTABLE), budget)
-    cost = prod(comb(n, k) for n, k in choices)
-    if cost > budget:
-        raise BudgetExceededError(cost, budget)
+    raise BudgetExceededError(prod(comb(n, k) for n, k in choices), budget)
 
 
 @dataclass(frozen=True)
@@ -101,28 +124,32 @@ class SpectrumReport:
         return not self.gaps and not self.exceptions and bool(self.attained)
 
 
+def _between(f: int, g: int) -> int:
+    """The bitmask of the values f..g."""
+    return (1 << (g + 1)) - (1 << f)
+
+
 def _make_report(
     params: Params,
     mode: str,
-    attained: set[int],
+    attained: int,
     f: int,
     g: int,
     witnesses: dict[int, Witness] | None,
     started: float,
 ) -> SpectrumReport:
-    ordered = tuple(sorted(attained))
-    gaps = tuple(v for v in range(f, g + 1) if v not in attained)
-    exceptions = tuple(v for v in ordered if v < f or v > g)
+    """The report for the values whose bits are set in ``attained``."""
+    inside = _between(f, g)
     return SpectrumReport(
         p=params.p,
         s=params.s,
         t=params.t,
         mode=mode,
-        attained=ordered,
+        attained=bit_positions(attained),
         f=f,
         g=g,
-        gaps=gaps,
-        exceptions=exceptions,
+        gaps=bit_positions(inside & ~attained),
+        exceptions=bit_positions(attained & ~inside),
         prime=params.prime,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,
@@ -215,7 +242,7 @@ def spectrum_exhaustive(
     started = time.perf_counter()
     attained, witnesses = _exhaustive_pass(p, t, {s: -1 if want_witnesses else 0})
     return _make_report(
-        params, "exhaustive", set(bit_positions(attained[s])),
+        params, "exhaustive", attained[s],
         lower_bound(p, s, t), upper_bound(p, s, t),
         witnesses[s] if want_witnesses else None, started,
     )
@@ -244,7 +271,7 @@ def spectrum_fixed_interval(
     first = _first_a_per_value(p, s, lambda a_tuple: sum(values[a] for a in a_tuple))
     witnesses = {r: (a_tuple, tuple(range(t))) for r, a_tuple in first.items()}
     return _make_report(
-        params, "fixed-interval-B", set(first),
+        params, "fixed-interval-B", sum(1 << r for r in first),
         lower_bound(p, s, t), upper_bound(p, s, t),
         witnesses if want_witnesses else None, started,
     )
@@ -290,8 +317,9 @@ def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
     params = Params(p, s, t)
     started = time.perf_counter()
     size = min(s, p - s)
-    sums = bit_positions(_attainable_selection_sums(build_shift_profile(p, t).counts, size)[size])
-    attained = set(sums) if size == s else {t * t - x for x in sums}
+    attained = _attainable_selection_sums(build_shift_profile(p, t).counts, size)[size]
+    if size < s:  # bit x moves to bit t^2 - x
+        attained = int(f"{attained:b}"[::-1], 2) << (t * t + 1 - attained.bit_length())
     return _make_report(
         params, "multiset-dp", attained,
         lower_bound(p, s, t), upper_bound(p, s, t),
@@ -317,7 +345,7 @@ def schur_spectrum(
     first = _first_a_per_value(p, s, schur_count)
     witnesses = {r: (a_tuple, a_tuple) for r, a_tuple in first.items()}
     return _make_report(
-        params, "schur-exhaustive", set(first),
+        params, "schur-exhaustive", sum(1 << r for r in first),
         schur_lower_bound(p, s), schur_upper_bound(p, s),
         witnesses if want_witnesses else None, started,
     )
@@ -367,13 +395,13 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
         for t in range(1, p):
             bounds: dict[int, tuple[int, int]] = {}
             for s in range(1, p):
-                if comb(p, s) * comb(p, t) > budget:
+                if _over_budget(budget, (p, s), (p, t)):
                     skipped.append((p, s, t))
                 else:
                     bounds[s] = (lower_bound(p, s, t), upper_bound(p, s, t))
             if not bounds:
                 continue
-            outside = {s: ~((1 << (g + 1)) - (1 << f)) for s, (f, g) in bounds.items()}
+            outside = {s: ~_between(f, g) for s, (f, g) in bounds.items()}
             _, witnesses = _exhaustive_pass(p, t, outside)
             instances += len(bounds)
             for s, (f, g) in bounds.items():

@@ -70,6 +70,27 @@ def lexmax_selection(counts, s, r):
     return None
 
 
+def realized_elements(selection, p, t):
+    """The residues that realise an overlap selection for B = {0..t-1}, ascending.
+
+    The element-list tie-break rule: value t comes from 0; an intermediate
+    value v from t - v, then from p - (t - v); the floor value max(0, 2t - p)
+    from its run in increasing order, starting at t when the floor is 0 and
+    at p - t otherwise.
+    """
+    floor = max(0, 2 * t - p)
+    elements = []
+    for v, c in selection.items():
+        if v == t:
+            elements.append(0)
+        elif v > floor:
+            elements.extend([t - v, p - (t - v)][:c])
+        else:
+            start = t if floor == 0 else p - t
+            elements.extend(range(start, start + c))
+    return tuple(sorted(elements))
+
+
 def selection_sums(values, size):
     """For c = 0..size, the set of sums of c entries of ``values`` taken at distinct positions.
 

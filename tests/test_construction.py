@@ -19,7 +19,7 @@ from addtriples.construction import (
 )
 from addtriples.residues import DomainError, VerificationError, make_set
 
-from oracles import brute_count, lexmax_selection, pair_multiset
+from oracles import brute_count, lexmax_selection, pair_multiset, realized_elements
 
 
 class TestShiftOverlap:
@@ -206,6 +206,18 @@ class TestRealizeSet:
     def test_rejects_overdrawn_selection(self):
         with pytest.raises(DomainError):
             realize_set({5: 2}, build_shift_profile(11, 5))
+
+    def test_matches_element_list_oracle_for_every_target_to_p13(self):
+        # t runs on both sides of 2t = p, so the floor run starts at t and at p - t
+        for p in range(3, 14, 2):
+            for t in range(1, p):
+                profile = build_shift_profile(p, t)
+                ascending = profile.ascending()
+                for s in range(1, p + 1):
+                    for r in range(sum(ascending[:s]), sum(ascending[-s:]) + 1):
+                        selection = select_multisubset(profile, s, r)
+                        expected = realized_elements(selection, p, t)
+                        assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
 
     @given(construction_instances())
     def test_realised_overlaps_match_selection(self, args):

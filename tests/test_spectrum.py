@@ -1,6 +1,6 @@
 import json
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,7 @@ from addtriples.construction import build_shift_profile
 from addtriples.residues import DomainError, VerificationError, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
+    _over_budget,
     exception_scan,
     schur_spectrum,
     spectrum_exhaustive,
@@ -188,11 +189,52 @@ class TestReports:
         assert covered == set(range(report.f, report.g + 1))
         assert report.elapsed >= 0.0
 
+    def test_gaps_and_exceptions_match_their_set_definitions(self):
+        def check(report):
+            attained = set(report.attained)
+            assert report.attained == tuple(sorted(attained))
+            inside = range(report.f, report.g + 1)
+            assert report.gaps == tuple(v for v in inside if v not in attained), report
+            assert report.exceptions == tuple(v for v in report.attained if v not in inside), report
+
+        for p in (9, 11):
+            for s in range(1, p):
+                for t in range(1, p):
+                    for engine in (spectrum_exhaustive, spectrum_fixed_interval):
+                        check(engine(p, s, t))
+                    check(spectrum_multiset_dp(p, s, t))
+        for p in range(3, 14, 2):
+            for s in range(1, p):
+                check(schur_spectrum(p, s))
+
     def test_modes_labelled(self):
         assert spectrum_exhaustive(5, 2, 2).mode == "exhaustive"
         assert spectrum_fixed_interval(5, 2, 2).mode == "fixed-interval-B"
         assert spectrum_multiset_dp(5, 2, 2).mode == "multiset-dp"
         assert schur_spectrum(5, 2).mode == "schur-exhaustive"
+
+
+class TestBudgetRule:
+    def test_over_budget_is_the_exact_product_rule(self):
+        # one and two (n, k) choices; budgets at the cost and on both sides of it,
+        # and a factor 3 away, where the lgamma estimate decides
+        cases = [((n, k),) for n in (1, 2, 9, 21, 101, 1001, 5001) for k in (0, 1, n // 3, n // 2, n)]
+        cases += [((n, k), (n, j)) for n in (9, 21, 1001, 5001) for k in (1, n // 2) for j in (2, n // 3)]
+        for choices in cases:
+            cost = prod(comb(n, k) for n, k in choices)
+            for budget in {cost - 1, cost, cost + 1, cost // 3, 3 * cost} - {0}:
+                assert _over_budget(budget, *choices) == (cost > budget), (choices, budget)
+
+    def test_scan_skips_exactly_the_instances_over_budget(self):
+        for p in (9, 15, 21):
+            for s0, t0 in ((1, 1), (2, 1), (2, 3)):
+                cost = comb(p, s0) * comb(p, t0)
+                for budget in (cost - 1, cost, cost + 1):
+                    result = exception_scan(p, p, budget=budget)
+                    expected = [(p, s, t) for s in range(1, p) for t in range(1, p)
+                                if comb(p, s) * comb(p, t) > budget]
+                    assert list(result.skipped) == expected, (p, budget)
+                    assert result.instances_run == (p - 1) ** 2 - len(expected)
 
 
 class TestExceptionScan:
