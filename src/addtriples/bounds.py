@@ -157,18 +157,21 @@ def pollard_check(a_set: ResidueSet, b_set: ResidueSet, j: int) -> InequalityChe
 
 
 def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[InequalityCheck]:
-    """The layer inequality at every j = 1..min(s, t), from one running prefix sum."""
+    """The layer inequality at every j = 1..min(s, t), from one prefix sum of the layer sizes.
+
+    Both sides are int64 arrays (each is below p^2 < 2^62) and are handed
+    back as plain Python bools and ints.
+    """
     p = _prime_modulus(a_set, b_set, "layer")
     s, t = a_set.cardinality, b_set.cardinality
+    top = min(s, t)
     sizes = layer_sizes(a_set, b_set)
-    checks = []
-    lhs = 0
-    for j in range(1, min(s, t) + 1):
-        if j <= len(sizes):  # layers beyond the list are empty
-            lhs += sizes[j - 1]
-        rhs = j * min(p, s + t - j)
-        checks.append(InequalityCheck(lhs >= rhs, lhs, rhs))
-    return checks
+    lhs = np.zeros(top, dtype=np.int64)
+    lhs[: len(sizes)] = sizes  # layers beyond the list are empty
+    lhs = np.cumsum(lhs)
+    j = np.arange(1, top + 1, dtype=np.int64)
+    rhs = j * np.minimum(p, s + t - j)
+    return list(map(InequalityCheck, (lhs >= rhs).tolist(), lhs.tolist(), rhs.tolist()))
 
 
 # -- grids ---------------------------------------------------------------------

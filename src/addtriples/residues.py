@@ -4,9 +4,10 @@ Bit r of ``bits`` is set exactly when residue r is a member, so complement,
 shift, intersection size and sumset all reduce to word-parallel integer
 operations, which stay cheap even for moduli in the thousands.
 :func:`bit_positions` and :func:`pack_indicator` are the only conversions
-between a bitmask and its residues. Moduli are odd and at least 3. Empty
-sets are legal here; cardinality constraints such as 1 <= s, t <= p-1 are
-enforced only at the :class:`Params` boundary.
+between a bitmask and its residues; a set keeps the array form of the
+first, built once, as the one fast path to its members. Moduli are odd and
+at least 3. Empty sets are legal here; cardinality constraints such as
+1 <= s, t <= p-1 are enforced only at the :class:`Params` boundary.
 """
 
 from __future__ import annotations
@@ -78,10 +79,15 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def _position_array(bits: int) -> np.ndarray:
+    """The positions of the set bits of a nonnegative int, ascending, as a new int64 array."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int64, copy=False)
+
+
 def bit_positions(bits: int) -> tuple[int, ...]:
     """The positions of the set bits of a nonnegative int, ascending."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+    return tuple(_position_array(bits).tolist())
 
 
 def pack_indicator(flags: np.ndarray) -> int:
@@ -100,9 +106,10 @@ def common_modulus(a_set: "ResidueSet", b_set: "ResidueSet") -> int:
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """A subset of Z_p with bit-indexed membership, cached cardinality and member tuple.
+    """A subset of Z_p with bit-indexed membership, cached cardinality and cached members.
 
-    The member tuple is derived from ``bits`` on first use; it is not a field,
+    The members are derived from ``bits`` on first use, once, as a read-only
+    int64 array; the member tuple is read off that array. Neither is a field,
     so equality, hashing and the repr see only the modulus and the bits.
     """
 
@@ -129,8 +136,15 @@ class ResidueSet:
         return cls(p, pack_indicator(flags))
 
     @cached_property
+    def _member_array(self) -> np.ndarray:
+        """The members in ascending order, as a read-only int64 array."""
+        members = _position_array(self.bits)
+        members.flags.writeable = False
+        return members
+
+    @cached_property
     def _members(self) -> tuple[int, ...]:
-        return bit_positions(self.bits)
+        return tuple(self._member_array.tolist())
 
     def elements(self) -> tuple[int, ...]:
         """The members in ascending order."""

@@ -73,21 +73,31 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def _log_comb(n: int, k: int) -> float:
+    """The lgamma estimate of log C(n, k)."""
+    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+
+
 def _log_cost(choices: tuple[tuple[int, int], ...]) -> float:
     """The lgamma estimate of log prod C(n, k), off by far less than 1."""
-    return sum(lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) for n, k in choices)
+    return sum(_log_comb(n, k) for n, k in choices)
 
 
-def _over_budget(budget: int, *choices: tuple[int, int]) -> bool:
-    """Exactly whether prod C(n, k) > ``budget``.
+def _exceeds(budget: int, log_cost: float, choices: tuple[tuple[int, int], ...]) -> bool:
+    """Exactly whether prod C(n, k) > ``budget``, given ``log_cost``, the estimate of its log.
 
-    The lgamma estimate decides when it is more than a factor e from the
-    budget; otherwise the exact product is computed and compared.
+    The estimate decides when it is more than a factor e from the budget;
+    otherwise the exact product is computed and compared.
     """
-    log_cost, log_budget = _log_cost(choices), log(budget)
+    log_budget = log(budget)
     if abs(log_cost - log_budget) > 1:
         return log_cost > log_budget
     return prod(comb(n, k) for n, k in choices) > budget
+
+
+def _over_budget(budget: int, *choices: tuple[int, int]) -> bool:
+    """Exactly whether prod C(n, k) > ``budget``, by the rule of :func:`_exceeds`."""
+    return _exceeds(budget, _log_cost(choices), choices)
 
 
 def _check_budget(budget: int, *choices: tuple[int, int]) -> None:
@@ -392,10 +402,11 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
     for p in range(p_min | 1, p_max + 1, 2):
         if p < 9 or is_prime(p):
             continue
+        log_comb = [_log_comb(p, k) for k in range(p)]  # each log C(p, k) once per modulus
         for t in range(1, p):
             bounds: dict[int, tuple[int, int]] = {}
             for s in range(1, p):
-                if _over_budget(budget, (p, s), (p, t)):
+                if _exceeds(budget, log_comb[s] + log_comb[t], ((p, s), (p, t))):
                     skipped.append((p, s, t))
                 else:
                     bounds[s] = (lower_bound(p, s, t), upper_bound(p, s, t))

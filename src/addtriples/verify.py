@@ -21,8 +21,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import bounds, counting
-from .residues import DomainError, ResidueSet, check_modulus, is_prime
+from .residues import DomainError, ResidueSet, check_modulus, is_prime, pack_indicator
 
 PRIME_ONLY_CHECKS = ("sumset-inequality", "layer-inequalities", "bound-sandwich")
 
@@ -65,11 +67,19 @@ class VerifyReport:
         return None
 
 
+def _random_set(rng: random.Random, p: int, size: int) -> ResidueSet:
+    """``size`` distinct residues drawn by ``rng.sample``, packed straight into a bitmask."""
+    flags = np.zeros(p, dtype=bool)
+    flags[rng.sample(range(p), size)] = True
+    return ResidueSet(p, pack_indicator(flags))
+
+
 def _random_pair(rng: random.Random, p: int) -> tuple[ResidueSet, ResidueSet]:
+    # the draw order s, t, A, B is the seeded stream every report reproduces
     s = rng.randint(1, p - 1)
     t = rng.randint(1, p - 1)
-    a = ResidueSet.from_elements(p, rng.sample(range(p), s))
-    b = ResidueSet.from_elements(p, rng.sample(range(p), t))
+    a = _random_set(rng, p, s)
+    b = _random_set(rng, p, t)
     return a, b
 
 

@@ -101,3 +101,19 @@ def selection_sums(values, size):
         for c in range(min(seen, size), 0, -1):
             sums[c] |= {x + v for x in sums[c - 1]}
     return sums
+
+
+def pollard_sweep(p, a_elems, b_elems):
+    """(holds, lhs, rhs) of sum_{i<=j} |S_i| >= j min(p, s+t-j) for j = 1..min(s, t), by plain loops.
+
+    S_i is the set of residues with at least i representations as a + b.
+    """
+    counts = brute_multiplicities(p, a_elems, b_elems)
+    s, t = len(a_elems), len(b_elems)
+    checks = []
+    lhs = 0
+    for j in range(1, min(s, t) + 1):
+        lhs += sum(1 for c in counts if c >= j)
+        rhs = j * min(p, s + t - j)
+        checks.append((lhs >= rhs, lhs, rhs))
+    return checks

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ from addtriples import bounds
 from addtriples.construction import extreme_sums
 from addtriples.residues import DomainError, ResidueSet, make_set
 
-from oracles import brute_count
+from oracles import brute_count, pollard_sweep
 
 
 class TestLowerBound:
@@ -180,6 +181,23 @@ class TestInequalityChecks:
         checks = bounds.pollard_check_sweep(a, b)
         assert len(checks) == 4
         assert all(c.holds for c in checks)
+
+    def test_sweep_matches_the_loop_oracle(self):
+        # every pair at p <= 7, then seeded pairs at larger primes
+        pairs = [(ResidueSet(p, x), ResidueSet(p, y))
+                 for p in (3, 5, 7) for x in range(1 << p) for y in range(1 << p)]
+        rng = random.Random(499)
+        for p in (101, 499):
+            for _ in range(40):
+                s, t = rng.randint(1, p - 1), rng.randint(1, p - 1)
+                pairs.append((make_set(p, rng.sample(range(p), s)), make_set(p, rng.sample(range(p), t))))
+        for a, b in pairs:
+            checks = bounds.pollard_check_sweep(a, b)
+            assert checks == pollard_sweep(a.modulus, a.elements(), b.elements()), (a, b)
+            for check in checks:
+                assert type(check) is bounds.InequalityCheck
+                assert type(check.holds) is bool
+                assert type(check.lhs) is int and type(check.rhs) is int
 
 
 @given(

@@ -236,6 +236,30 @@ def test_convolution_matches_on_structured_inputs():
             assert counting.count_convolution(a, b) == brute_count(p, list(a), list(b))
 
 
+@pytest.mark.parametrize("p", [3, 63, 65, 129, 4099])
+def test_shift_walks_either_side(p):
+    # |A| < |B|, |A| > |B|, |A| = |B|, an empty side and a full side; at p = 63, 65
+    # and 129 the 2p-bit doubled mask of B ends beside a 64-bit word boundary
+    rng = random.Random(p)
+    small, big = max(1, p // 5), p - 1
+    sizes = [(small, big), (big, small), (small, small), (big, big),
+             (0, big), (big, 0), (p, small), (small, p), (0, p), (p, 0), (p, p)]
+    for s, t in sizes:
+        a = make_set(p, rng.sample(range(p), s))
+        b = make_set(p, rng.sample(range(p), t))
+        assert counting.count_shift(a, b) == counting.count_naive(a, b), (p, s, t)
+
+
+def test_convolution_matches_shift_on_dense_and_interval_sets_at_p10001():
+    p = 10001
+    rng = random.Random(p)
+    dense = [make_set(p, rng.sample(range(p), k)) for k in (p - 1, 9000, 7001)]
+    intervals = [interval_set(p, k) for k in (1, 5000, p - 1)]
+    for a, b in [(dense[0], dense[1]), (dense[2], dense[0]), (intervals[1], intervals[2]),
+                 (dense[1], intervals[1]), (intervals[0], dense[2]), (full_set(p), intervals[1])]:
+        assert counting.count_convolution(a, b) == counting.count_shift(a, b), (len(a), len(b))
+
+
 @pytest.mark.parametrize("p,a_elems,b_elems", [
     (5, [], [0, 1, 3]),                  # empty A
     (5, [0, 2, 4], []),                  # empty B

@@ -1,8 +1,10 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from addtriples import counting
 from addtriples.counting import layers
 from addtriples.residues import (
     DomainError,
@@ -68,6 +70,16 @@ class TestConstruction:
         assert list(s) == [1, 5]
         assert len(s) == 2
         assert repr(s) == "ResidueSet(7, {1, 5})"
+
+    def test_member_array_is_cached_read_only_and_matches_elements(self):
+        for s in (empty_set(7), make_set(7, [1, 5]), full_set(65), ResidueSet(4099, 1 << 4098 | 5)):
+            members = s._member_array
+            assert members is s._member_array
+            assert members.dtype == np.int64 and not members.flags.writeable
+            assert tuple(members.tolist()) == s.elements()
+            with pytest.raises(ValueError):
+                members[...] = 0
+            assert counting._index(s) is members  # the counters read it without a copy
 
 
 def reference_positions(bits, p):
