@@ -148,29 +148,30 @@ def cauchy_davenport_check(a_set: ResidueSet, b_set: ResidueSet) -> InequalityCh
     return InequalityCheck(lhs >= rhs, lhs, rhs)
 
 
+def _pollard_sides(p: int, s: int, t: int, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the layer inequality at j = 1..min(s, t) from the layer sizes, as int64
+    arrays (each entry below p^2 < 2^62); layers beyond ``sizes`` are empty."""
+    top = min(s, t)
+    lhs = np.zeros(top, dtype=np.int64)
+    lhs[: len(sizes)] = sizes
+    j = np.arange(1, top + 1, dtype=np.int64)
+    return np.cumsum(lhs), j * np.minimum(p, s + t - j)
+
+
 def pollard_check(a_set: ResidueSet, b_set: ResidueSet, j: int) -> InequalityCheck:
     """sum_{i<=j} |S_i| >= j min(p, s+t-j). Requires prime p and 1 <= j <= min(s, t)."""
-    top = min(a_set.cardinality, b_set.cardinality)
-    if not 1 <= j <= top:
-        raise DomainError(f"need 1 <= j <= min(s, t) = {top}, got j={j}")
-    return pollard_check_sweep(a_set, b_set)[j - 1]
+    s, t = a_set.cardinality, b_set.cardinality
+    if not 1 <= j <= min(s, t):
+        raise DomainError(f"need 1 <= j <= min(s, t) = {min(s, t)}, got j={j}")
+    p = _prime_modulus(a_set, b_set, "layer")
+    lhs, rhs = (int(side[j - 1]) for side in _pollard_sides(p, s, t, layer_sizes(a_set, b_set)))
+    return InequalityCheck(lhs >= rhs, lhs, rhs)
 
 
 def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[InequalityCheck]:
-    """The layer inequality at every j = 1..min(s, t), from one prefix sum of the layer sizes.
-
-    Both sides are int64 arrays (each is below p^2 < 2^62) and are handed
-    back as plain Python bools and ints.
-    """
+    """The layer inequality at every j = 1..min(s, t), as plain Python bools and ints."""
     p = _prime_modulus(a_set, b_set, "layer")
-    s, t = a_set.cardinality, b_set.cardinality
-    top = min(s, t)
-    sizes = layer_sizes(a_set, b_set)
-    lhs = np.zeros(top, dtype=np.int64)
-    lhs[: len(sizes)] = sizes  # layers beyond the list are empty
-    lhs = np.cumsum(lhs)
-    j = np.arange(1, top + 1, dtype=np.int64)
-    rhs = j * np.minimum(p, s + t - j)
+    lhs, rhs = _pollard_sides(p, a_set.cardinality, b_set.cardinality, layer_sizes(a_set, b_set))
     return list(map(InequalityCheck, (lhs >= rhs).tolist(), lhs.tolist(), rhs.tolist()))
 
 

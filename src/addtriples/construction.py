@@ -43,6 +43,7 @@ from .residues import (
     VerificationError,
     check_modulus,
     interval_set,
+    pack_indicator,
 )
 
 
@@ -244,11 +245,13 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
     intermediate value v comes first from the positive representative
     a = t - v, then from p - (t - v); the floor value takes residues from its
     canonical run in increasing order (starting at t when the floor is 0, at
-    p - t otherwise).
+    p - t otherwise). The residues and the floor run go into one bool
+    indicator, packed into the bitmask once.
     """
     p, t = profile.p, profile.t
     floor = profile.floor_value
-    bits = 0
+    residues = []
+    run = slice(0, 0)  # the floor run
     for v, c in sorted(selection.items(), reverse=True):
         c = operator.index(c)
         if c < 0 or c > profile.counts.get(v, 0):
@@ -258,15 +261,18 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
         if c == 0:
             continue
         if v == t:
-            bits |= 1
+            residues.append(0)
         elif v > floor:
-            bits |= 1 << (t - v)
+            residues.append(t - v)
             if c == 2:
-                bits |= 1 << (p - (t - v))
+                residues.append(p - (t - v))
         else:
             start = t if floor == 0 else p - t
-            bits |= ((1 << c) - 1) << start
-    return ResidueSet(p, bits)
+            run = slice(start, start + c)
+    flags = np.zeros(max(run.stop, max(residues, default=-1) + 1), dtype=bool)
+    flags[residues] = True
+    flags[run] = True
+    return ResidueSet(p, pack_indicator(flags))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ recount for B = {0..t-1} only, in O(|A|) from the residues of A, which
 both walk the pair sums a + b in numpy blocks of whole rows of A, each
 holding at most max(_PAIR_BLOCK, |B|) pairs (2^20 pairs, 8 MB, unless B alone
 is larger), so their memory does not grow with |A| * |B|.
+
+Nothing here keeps state between calls: a caller that needs N(c) twice, as a
+verify trial does, computes it once with :func:`representation_counts` and
+hands it to the core of :func:`count_layers`.
 """
 
 from __future__ import annotations
@@ -113,37 +117,18 @@ def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
     return int((np.maximum(0, t - a) + np.maximum(0, a + t - p)).sum())
 
 
-# The most recent (A, B, N) triple. A verify trial asks for the same pair's
-# counts twice, through count_layers and through layer_sizes. The entry is
-# read and replaced as one tuple, so concurrent callers at worst recompute.
-_last_counts: tuple = ()
+def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
+    """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as an int64[p].
 
-
-def _count_representations(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
+    The sums are tallied over a table of length 2p, one block of at most
+    max(_PAIR_BLOCK, |B|) pairs at a time, so memory stays bounded however
+    large |A| * |B| is; the two halves of the table are then folded.
+    """
     p = common_modulus(a_set, b_set)
     doubled = np.zeros(2 * p, dtype=np.int64)
     for block in _pair_sums(a_set, b_set):
         doubled += np.bincount(block.ravel(), minlength=2 * p)
     return doubled[:p] + doubled[p:]  # c and c + p are the same residue
-
-
-def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
-    """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as a read-only int64[p].
-
-    The sums are tallied over a table of length 2p, one block of at most
-    max(_PAIR_BLOCK, |B|) pairs at a time, so memory stays bounded however
-    large |A| * |B| is; the two halves of the table are then folded.
-    The result for the last pair asked about is kept, so asking again for an
-    equal (A, B) returns the same array without recounting.
-    """
-    global _last_counts
-    last = _last_counts
-    if last and last[0] == a_set and last[1] == b_set:
-        return last[2]
-    counts = _count_representations(a_set, b_set)
-    counts.flags.writeable = False
-    _last_counts = (a_set, b_set, counts)
-    return counts
 
 
 @dataclass(frozen=True)
@@ -184,6 +169,11 @@ def layer_sizes(a_set: ResidueSet, b_set: ResidueSet) -> list[int]:
     return [int(x) for x in _at_least(representation_counts(a_set, b_set))]
 
 
+def _count_layers(counts: np.ndarray, b_set: ResidueSet) -> int:
+    """Sum of |S_i n B|, from the representation counts N of (A, B)."""
+    return int(_at_least(counts[_index(b_set)]).sum())  # entry i-1 is |S_i n B|
+
+
 def count_layers(a_set: ResidueSet, b_set: ResidueSet) -> int:
     """Sum of |S_i n B| over the layer decomposition.
 
@@ -193,8 +183,7 @@ def count_layers(a_set: ResidueSet, b_set: ResidueSet) -> int:
     sets themselves are wanted, and the two views are pinned to each other
     by tests.
     """
-    on_b = representation_counts(a_set, b_set)[_index(b_set)]
-    return int(_at_least(on_b).sum())  # entry i-1 is |S_i n B|
+    return _count_layers(representation_counts(a_set, b_set), b_set)
 
 
 def count_convolution(a_set: ResidueSet, b_set: ResidueSet) -> int:

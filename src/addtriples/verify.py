@@ -100,9 +100,10 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
         s, t = a.cardinality, b.cardinality
 
         r = counting.count_naive(a, b)
+        counts = counting.representation_counts(a, b)  # N(c), once per trial
         others = {
             "shift": counting.count_shift(a, b),
-            "layers": counting.count_layers(a, b),
+            "layers": counting._count_layers(counts, b),
             "convolution": counting.count_convolution(a, b),
         }
         tally["four-way-agreement"] += 1
@@ -125,10 +126,11 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
             fail(trial, "sumset-inequality", f"|A+B|={cd.lhs} < {cd.rhs}", a, b)
 
         tally["layer-inequalities"] += 1
-        for j, check in enumerate(bounds.pollard_check_sweep(a, b), start=1):
-            if not check.holds:
-                fail(trial, "layer-inequalities", f"j={j}: {check.lhs} < {check.rhs}", a, b)
-                break
+        lhs, rhs = bounds._pollard_sides(p, s, t, counting._at_least(counts))
+        failing = np.flatnonzero(lhs < rhs)
+        if failing.size:
+            j = int(failing[0])
+            fail(trial, "layer-inequalities", f"j={j + 1}: {lhs[j]} < {rhs[j]}", a, b)
 
         f = bounds.lower_bound(p, s, t)
         g = bounds.upper_bound(p, s, t)

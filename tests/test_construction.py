@@ -218,6 +218,15 @@ class TestRealizeSet:
                         selection = select_multisubset(profile, s, r)
                         expected = realized_elements(selection, p, t)
                         assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
+        # and at a large modulus, at r1, the midpoint and r2
+        p = 10**5 + 1
+        for s, t in [(50000, 50000), (20000, 30000), (50000, 50001), (70000, 80000), (1, 99999)]:
+            profile = build_shift_profile(p, t)
+            r1, r2 = extreme_sums(p, s, t)
+            for r in (r1, (r1 + r2) // 2, r2):
+                selection = select_multisubset(profile, s, r)
+                expected = realized_elements(selection, p, t)
+                assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
 
     @given(construction_instances())
     def test_realised_overlaps_match_selection(self, args):

@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -277,19 +275,18 @@ def test_pair_blocks_count_every_pair_once(monkeypatch, p, a_elems, b_elems):
     for block in sorted({1, 7, max(b.cardinality - 1, 1)}):
         monkeypatch.setattr(counting, "_PAIR_BLOCK", block)
         assert counting.count_naive(a, b) == expected_count
-        counts = counting._count_representations(a, b)
+        counts = counting.representation_counts(a, b)
         assert counts.tolist() == expected_counts
         assert counts.sum() == a.cardinality * b.cardinality
 
 
-def test_pair_routes_memory_is_bounded(monkeypatch):
+def test_pair_routes_memory_is_bounded():
     # 4.2 M pairs, several blocks; one unblocked int64 table of them is 32 MB
     p = 4099
     a, b = make_set(p, range(p - 1)), make_set(p, range(1, p))
     a.elements(), b.elements()  # the member caches are not what is measured
     results = {}
     for route in (counting.count_naive, counting.count_layers, counting.layer_sizes):
-        monkeypatch.setattr(counting, "_last_counts", ())
         tracemalloc.start()
         try:
             results[route.__name__] = route(a, b)
@@ -299,42 +296,6 @@ def test_pair_routes_memory_is_bounded(monkeypatch):
         assert peak < 32 * 2**20, (route.__name__, peak)
     assert results["count_naive"] == results["count_layers"] == counting.count_shift(a, b)
     assert sum(results["layer_sizes"]) == (p - 1) ** 2
-
-
-class TestRepresentationCountsCache:
-    def test_last_pair_is_kept_read_only(self):
-        a, b = make_set(7, [0, 1, 3]), make_set(7, [2, 3])
-        counts = counting.representation_counts(a, b)
-        assert not counts.flags.writeable
-        assert counting.representation_counts(make_set(7, [0, 1, 3]), b) is counts
-        assert counting.representation_counts(b, a) is not counts
-        assert counts.tolist() == brute_multiplicities(7, [0, 1, 3], [2, 3])
-
-    def test_threads_sharing_the_cache_get_their_own_pair(self):
-        pairs = [(make_set(101, range(k, 30 + k)), make_set(101, range(0, 60, k + 1)))
-                 for k in range(4)]
-        expected = [counting._count_representations(a, b).tolist() for a, b in pairs]
-        wrong = []
-
-        def worker(offset):
-            for n in range(500):
-                i = (n + offset) % len(pairs)
-                for _ in range(2):  # the second ask is the one the cache may answer
-                    if counting.representation_counts(*pairs[i]).tolist() != expected[i]:
-                        wrong.append(i)
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not wrong
 
 
 class TestCountInterval:

@@ -1,8 +1,10 @@
 import hashlib
 import random
 
-from addtriples import counting
+from addtriples import cli, counting
 from addtriples.verify import PRIME_ONLY_CHECKS, _random_pair, run_verification
+
+from oracles import brute_count, brute_multiplicities
 
 
 def test_primes_pass_cleanly():
@@ -44,13 +46,13 @@ def test_zero_trials_vacuous_pass():
 def test_representation_counts_computed_once_per_trial(monkeypatch):
     # count_layers and the Pollard sweep both need N(c) for the same pair
     computed = []
-    original = counting._count_representations
+    original = counting.representation_counts
 
     def tally(a_set, b_set):
         computed.append((a_set, b_set))
         return original(a_set, b_set)
 
-    monkeypatch.setattr(counting, "_count_representations", tally)
+    monkeypatch.setattr(counting, "representation_counts", tally)
     report = run_verification([7, 11, 9], 40, seed=3)
     assert report.ok
     assert len(computed) == 3 * 40
@@ -66,3 +68,58 @@ def test_draw_stream_is_pinned():
             a, b = _random_pair(rng, p)
             digest.update(f"{p} {a.cardinality} {b.cardinality} {a.bits} {b.bits}\n".encode())
     assert digest.hexdigest() == "9cca4f29c34b34213671bac6b0f5e866e684f5374e92f3bcc577f566107de29a"
+
+
+def _replayed_pairs(p, trials, seed):
+    """The (A, B) of every trial of ``run_verification([p], trials, seed)``, drawn again."""
+    rng = random.Random(seed)
+    return [_random_pair(rng, p) for _ in range(trials)]
+
+
+def test_counter_disagreement_is_reported_once_per_trial(monkeypatch, capsys):
+    p, trials, seed = 7, 5, 11
+    true_convolution = counting.count_convolution
+    monkeypatch.setattr(counting, "count_convolution", lambda a, b: true_convolution(a, b) + 1)
+    report = run_verification([p], trials, seed)
+    assert not report.ok
+    summary = report.moduli[0]
+    # a disagreement ends its trial, so no later check runs or reports
+    assert summary.checks == {"four-way-agreement": trials}
+    assert [v.trial for v in summary.violations] == list(range(trials))
+    for v, (a, b) in zip(summary.violations, _replayed_pairs(p, trials, seed)):
+        assert (v.set_a, v.set_b) == (a.elements(), b.elements())
+        r = brute_count(p, v.set_a, v.set_b)
+        assert v.check == "four-way-agreement"
+        assert v.detail == f"naive={r}, {{'shift': {r}, 'layers': {r}, 'convolution': {r + 1}}}"
+    assert report.first_violation() == summary.violations[0]
+    assert cli.main(["verify", "--p", str(p), "--trials", str(trials), "--seed", str(seed)]) == 2
+    capsys.readouterr()
+
+
+def test_layer_inequality_failure_names_the_first_failing_j(monkeypatch, capsys):
+    p, trials, seed = 7, 30, 5
+    # the layer sizes |S_1|, |S_2|, ... are read off the length-p vector N(c);
+    # keep only |S_1|, so every deeper layer looks empty
+    true_at_least = counting._at_least
+    monkeypatch.setattr(
+        counting, "_at_least", lambda m: true_at_least(m)[:1] if m.size == p else true_at_least(m)
+    )
+    failing = {}
+    for trial, (a, b) in enumerate(_replayed_pairs(p, trials, seed)):
+        s, t = a.cardinality, b.cardinality
+        first = sum(1 for n in brute_multiplicities(p, a.elements(), b.elements()) if n)
+        bad = [(j, first, j * min(p, s + t - j)) for j in range(1, min(s, t) + 1)
+               if first < j * min(p, s + t - j)]
+        if bad:
+            failing[trial] = bad
+    assert any(len(bad) > 1 for bad in failing.values())  # some trial fails at several j
+    report = run_verification([p], trials, seed)
+    assert not report.ok
+    violations = report.moduli[0].violations
+    assert [v.trial for v in violations] == sorted(failing)
+    for v in violations:
+        j, lhs, rhs = failing[v.trial][0]
+        assert v.check == "layer-inequalities"
+        assert v.detail == f"j={j}: {lhs} < {rhs}"
+    assert cli.main(["verify", "--p", str(p), "--trials", str(trials), "--seed", str(seed)]) == 2
+    capsys.readouterr()
