@@ -105,7 +105,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", type=_mode, default="exhaustive",
                     help="exhaustive, fixed-interval-B or multiset-dp")
     sp.add_argument("--witnesses", action="store_true", help="record one witness per value")
-    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     sp.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     sp.add_argument("--timing", action="store_true", help="include wall time in the report")
 

@@ -95,19 +95,15 @@ def _exceeds(budget: int, log_cost: float, choices: tuple[tuple[int, int], ...])
     return prod(comb(n, k) for n, k in choices) > budget
 
 
-def _over_budget(budget: int, *choices: tuple[int, int]) -> bool:
-    """Exactly whether prod C(n, k) > ``budget``, by the rule of :func:`_exceeds`."""
-    return _exceeds(budget, _log_cost(choices), choices)
-
-
 def _check_budget(budget: int, *choices: tuple[int, int]) -> None:
     """Reject a budget below 1, then refuse a call whose cost prod C(n, k) exceeds it."""
     if budget < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
-    if not _over_budget(budget, *choices):
+    log_cost = _log_cost(choices)
+    if not _exceeds(budget, log_cost, choices):
         return
     # a cost far above both the budget and 10^4300 is reported as a bound, never computed
-    if _log_cost(choices) > log(max(budget, _PRINTABLE)) + 1:
+    if log_cost > log(max(budget, _PRINTABLE)) + 1:
         raise BudgetExceededError(max(budget + 1, _PRINTABLE), budget)
     raise BudgetExceededError(prod(comb(n, k) for n, k in choices), budget)
 
@@ -173,7 +169,9 @@ def _distinct_profiles(p: int, t: int):
     """Yield (B, overlaps) for the first B with each distinct overlap histogram.
 
     B runs over the t-sets containing 0 in lex order; overlaps[a] =
-    |(a + B) n B| counts the pairs x, y in B with y - x = a.
+    |(a + B) n B| counts the pairs x, y in B with y - x = a. The bytes of
+    the sorted overlap row key its histogram, and one set of keys spans every
+    chunk of the walk.
     """
     rests = combinations(range(1, p), t - 1)
     seen: set[bytes] = set()
@@ -183,9 +181,8 @@ def _distinct_profiles(p: int, t: int):
         diffs = (members[:, None, :] - members[:, :, None]) % p
         diffs += np.arange(len(chunk))[:, None, None] * p
         table = np.bincount(diffs.ravel(), minlength=len(chunk) * p).reshape(len(chunk), p)
-        ordered = np.sort(table, axis=1)
-        for i in sorted(np.unique(ordered, axis=0, return_index=True)[1].tolist()):
-            if (key := ordered[i].tobytes()) not in seen:
+        for i, key in enumerate(map(bytes, np.sort(table, axis=1))):
+            if key not in seen:
                 seen.add(key)
                 yield (0, *chunk[i]), table[i].tolist()
 

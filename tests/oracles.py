@@ -55,6 +55,22 @@ def first_witnesses(p, s, t):
     return found
 
 
+def first_b_per_histogram(p, t):
+    """Yield (B, overlaps) for the lex-first t-set B containing 0 with each overlap histogram.
+
+    overlaps[a] = |(a + B) n B|; two sets share a histogram when their sorted
+    overlaps are equal.
+    """
+    seen = set()
+    for rest in combinations(range(1, p), t - 1):
+        b = (0, *rest)
+        overlaps = [len({(a + x) % p for x in b} & set(b)) for a in range(p)]
+        key = tuple(sorted(overlaps))
+        if key not in seen:
+            seen.add(key)
+            yield b, overlaps
+
+
 def lexmax_selection(counts, s, r):
     """The size-s, sum-r count vector over a multiset that is lex-max from the largest value down.
 

@@ -246,11 +246,12 @@ class TestContract:
             assert err == ("addtriples: budget exceeded: estimated cost at least 10^4300 "
                            "exceeds budget 100000000\n")
 
-    def test_jobs_is_accepted_and_ignored(self, capsys):
-        argv = ("spectrum", "--p", "9", "--s", "7", "--t", "6", "--witnesses")
-        plain = run_cli(capsys, *argv)
-        for jobs in ("4", "0", "-3"):
-            assert run_cli(capsys, *argv, "--jobs", jobs) == plain
+    def test_removed_jobs_flag_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--p", "9", "--s", "7", "--t", "6",
+                                 "--jobs", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: addtriples ")
+        assert "unrecognized arguments: --jobs 4" in err and "Traceback" not in err
 
     def test_witness_recount_round_trip(self, capsys):
         payload = run_json(capsys, "construct", "--p", "9", "--s", "7", "--t", "6", "--r", "27")
@@ -357,7 +358,7 @@ _ARGV = st.one_of(
           _flag("--r", st.integers(-5, 2000))),
     _argv("spectrum", _flag("--p", _SMALL), _flag("--s", _SMALL), _flag("--t", _SMALL),
           _flag("--mode", st.sampled_from([*cli.SPECTRUM_MODES, "MULTISET-DP", "bogus"])),
-          _flag("--jobs", st.integers(-5, 8)), _flag("--budget", _BUDGET),
+          _flag("--budget", _BUDGET),
           st.sampled_from([[], ["--witnesses"], ["--timing"]])),
     _argv("schur", _flag("--p", _SMALL), _flag("--s", _SMALL), _flag("--budget", _BUDGET),
           st.sampled_from([[], ["--witnesses"], ["--timing"]])),

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from addtriples import counting
+from addtriples import counting, spectrum
 from addtriples.construction import build_shift_profile
 from addtriples.residues import DomainError, VerificationError, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
-    _over_budget,
+    _check_budget,
+    _distinct_profiles,
     exception_scan,
     schur_spectrum,
     spectrum_exhaustive,
@@ -18,7 +19,7 @@ from addtriples.spectrum import (
     spectrum_multiset_dp,
 )
 
-from oracles import brute_count, brute_spectrum, first_witnesses, selection_sums
+from oracles import brute_count, brute_spectrum, first_b_per_histogram, first_witnesses, selection_sums
 
 SCAN_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "scan_expected.json"
 
@@ -99,6 +100,16 @@ class TestExhaustive:
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             spectrum_exhaustive(9, 0, 2)
+
+    @pytest.mark.parametrize("one_b_per_chunk", [False, True], ids=["default_chunk", "one_b_per_chunk"])
+    def test_walk_keeps_the_first_b_per_histogram(self, monkeypatch, one_b_per_chunk):
+        # at p <= 15 one default chunk holds every B; one B per chunk makes every
+        # repeat histogram cross a chunk boundary
+        if one_b_per_chunk:
+            monkeypatch.setattr(spectrum, "_CHUNK_CELLS", 1)
+        for p in (9, 11, 15):
+            for t in range(1, p):
+                assert list(_distinct_profiles(p, t)) == list(first_b_per_histogram(p, t)), (p, t)
 
 
 class TestFixedInterval:
@@ -223,7 +234,12 @@ class TestBudgetRule:
         for choices in cases:
             cost = prod(comb(n, k) for n, k in choices)
             for budget in {cost - 1, cost, cost + 1, cost // 3, 3 * cost} - {0}:
-                assert _over_budget(budget, *choices) == (cost > budget), (choices, budget)
+                if cost > budget:
+                    with pytest.raises(BudgetExceededError) as excinfo:
+                        _check_budget(budget, *choices)
+                    assert (excinfo.value.estimated, excinfo.value.budget) == (cost, budget)
+                else:
+                    _check_budget(budget, *choices)
 
     def test_scan_skips_exactly_the_instances_over_budget(self):
         for p in (9, 15, 21):
