@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
 
 from . import counting, verify
@@ -125,6 +126,8 @@ def build_parser() -> _Parser:
     v.add_argument("--trials", type=int, required=True)
     v.add_argument("--seed", type=int, default=0)
 
+    for command in sub.choices.values():  # main reports stray arguments with their own usage
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -152,7 +155,7 @@ def _spectrum_output(report: SpectrumReport, timing: bool):
         payload["witnesses"] = _witness_rows(report.witnesses)
     if timing:
         payload["elapsed"] = report.elapsed
-    return payload, [_csv_row(payload)], EXIT_OK
+    return payload, EXIT_OK
 
 
 def _csv_row(payload: dict) -> dict:
@@ -171,7 +174,7 @@ def _run_bounds(args):
         "f": result.f, "g": result.g,
         "prime": result.guaranteed, "guaranteed": result.guaranteed,
     }
-    return payload, [payload], EXIT_OK
+    return payload, EXIT_OK
 
 
 def _run_count(args):
@@ -183,11 +186,9 @@ def _run_count(args):
         agree = len(set(results.values())) == 1
         payload = {**base, "method": "all", "counts": results,
                    "count": next(iter(results.values())), "agree": agree}
-        rows = [{"p": args.p, "method": name, "count": value} for name, value in results.items()]
-        return payload, rows, EXIT_OK if agree else EXIT_VERIFICATION
-    value = COUNT_METHODS[args.method](a, b)
-    payload = {**base, "method": args.method, "count": value}
-    return payload, [{"p": args.p, "method": args.method, "count": value}], EXIT_OK
+        return payload, EXIT_OK if agree else EXIT_VERIFICATION
+    payload = {**base, "method": args.method, "count": COUNT_METHODS[args.method](a, b)}
+    return payload, EXIT_OK
 
 
 def _run_construct(args):
@@ -198,13 +199,7 @@ def _run_construct(args):
         "witness_a": list(witness.a_set), "witness_b": list(witness.b_set),
         "selection": [[v, c] for v, c in sorted(witness.selection.items(), reverse=True)],
     }
-    row = {
-        "p": witness.p, "s": witness.s, "t": witness.t,
-        "target_r": witness.target_r, "achieved_r": witness.achieved_r,
-        "witness_a": " ".join(map(str, witness.a_set)),
-        "witness_b": " ".join(map(str, witness.b_set)),
-    }
-    return payload, [row], EXIT_OK
+    return payload, EXIT_OK
 
 
 def _run_spectrum(args):
@@ -236,14 +231,12 @@ def scan_payload(result: ScanResult) -> dict:
 
 
 def _run_scan(args):
-    payload = scan_payload(exception_scan(args.p_min, args.p_max, budget=args.budget))
-    return payload, [_csv_row(record) for record in payload["records"]], EXIT_OK
+    return scan_payload(exception_scan(args.p_min, args.p_max, budget=args.budget)), EXIT_OK
 
 
 def _run_verify(args):
     report = verify.run_verification(args.p, args.trials, args.seed)
     moduli = []
-    rows = []
     for summary in report.moduli:
         failures = [
             {"trial": v.trial, "check": v.check, "detail": v.detail,
@@ -255,22 +248,52 @@ def _run_verify(args):
             "checks": summary.checks, "skipped_checks": list(summary.skipped),
             "failures": failures,
         })
-        rows.append({
-            "p": summary.p, "prime": summary.prime, "trials": summary.trials,
-            "violations": len(summary.violations),
-        })
     payload = {"seed": report.seed, "trials": report.trials, "ok": report.ok, "moduli": moduli}
-    return payload, rows, EXIT_OK if report.ok else EXIT_VERIFICATION
+    return payload, EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-_RUNNERS = {
-    "bounds": _run_bounds,
-    "count": _run_count,
-    "construct": _run_construct,
-    "spectrum": _run_spectrum,
-    "schur": _run_schur,
-    "scan": _run_scan,
-    "verify": _run_verify,
+# The CSV rows of each command, derived from its JSON payload alone; main
+# builds them only for --format csv.
+
+def _bounds_rows(payload: dict) -> list[dict]:
+    return [payload]
+
+
+def _count_rows(payload: dict) -> list[dict]:
+    counts = payload.get("counts", {payload["method"]: payload["count"]})  # one row per method
+    return [{"p": payload["p"], "method": name, "count": value} for name, value in counts.items()]
+
+
+def _construct_rows(payload: dict) -> list[dict]:
+    row = {key: payload[key] for key in ("p", "s", "t", "target_r", "achieved_r")}
+    row["witness_a"] = " ".join(map(str, payload["witness_a"]))
+    row["witness_b"] = " ".join(map(str, payload["witness_b"]))
+    return [row]
+
+
+def _spectrum_rows(payload: dict) -> list[dict]:
+    return [_csv_row(payload)]
+
+
+def _scan_rows(payload: dict) -> list[dict]:
+    return [_csv_row(record) for record in payload["records"]]
+
+
+def _verify_rows(payload: dict) -> list[dict]:
+    return [
+        {"p": m["p"], "prime": m["prime"], "trials": m["trials"], "violations": len(m["failures"])}
+        for m in payload["moduli"]
+    ]
+
+
+_COMMANDS = {  # command -> (runner returning (payload, exit code), CSV rows of the payload)
+    "bounds": (_run_bounds, _bounds_rows),
+    "count": (_run_count, _count_rows),
+    "construct": (_run_construct, _construct_rows),
+    "spectrum": (_run_spectrum, _spectrum_rows),
+    "schur": (_run_schur, _spectrum_rows),
+    "scan": (_run_scan, _scan_rows),
+    "verify": (_run_verify, _verify_rows),
 }
 
 
@@ -280,8 +303,9 @@ def render_json(payload: dict) -> str:
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set. Here only the containers are walked in Python: strings go through
     json's own string encoder, ints through ``str``, other scalars through
-    ``json.dumps``, and a list of plain ints is joined at once. Dict keys must
-    be strings, as in every payload the CLI builds.
+    ``json.dumps``, and a list of plain ints is written by one ``str`` of the
+    whole list, its ", " separators then swapped for the indented ones. Dict
+    keys must be strings, as in every payload the CLI builds.
     """
     return _render(payload, "\n") + "\n"
 
@@ -305,10 +329,10 @@ def _render(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(item) is int for item in value):
-            parts = map(str, value)
-        else:
-            parts = (_render(item, inner) for item in value)
+        if operator.countOf(map(type, value), int) == len(value):
+            # list(): str((7,)) is "(7,)"; an exact int's repr is its str
+            return "[" + inner + str(list(value))[1:-1].replace(", ", "," + inner) + pad + "]"
+        parts = (_render(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     return json.dumps(value)
 
@@ -331,11 +355,14 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:  # built on first use, then shared by every call in the process
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args, extras = _parser.parse_known_args(argv)
+        if extras:  # blame the subcommand, so its own usage line is printed
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # usage error or --help; keep main() total
         return int(exc.code or 0)
+    run, csv_rows = _COMMANDS[args.command]
     try:
-        payload, rows, code = _RUNNERS[args.command](args)
+        payload, code = run(args)
     except BudgetExceededError as exc:
         print(f"addtriples: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -345,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"addtriples: internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    text = render_json(payload) if args.format == "json" else render_csv(rows)
+    text = render_json(payload) if args.format == "json" else render_csv(csv_rows(payload))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -50,7 +50,17 @@ import numpy as np
 from . import counting
 from .bounds import lower_bound, schur_lower_bound, schur_upper_bound, upper_bound
 from .construction import build_shift_profile, shift_overlap
-from .residues import DomainError, Params, ResidueSet, VerificationError, bit_positions, is_prime, make_set
+from .residues import (
+    MAX_MODULUS,
+    DomainError,
+    InvalidModulusError,
+    Params,
+    ResidueSet,
+    VerificationError,
+    bit_positions,
+    is_prime,
+    make_set,
+)
 
 DEFAULT_PAIR_BUDGET = 10**8
 
@@ -392,6 +402,8 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
     """
     if p_min > p_max:
         raise DomainError(f"empty modulus range [{p_min}, {p_max}]")
+    if p_max > MAX_MODULUS:  # refused before any per-modulus list is built
+        raise InvalidModulusError(f"modulus range [{p_min}, {p_max}] exceeds 2^31-1")
     _check_budget(budget)  # validates the budget only
     records: list[ExceptionRecord] = []
     skipped: list[tuple[int, int, int]] = []

@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from addtriples import cli
 
@@ -153,6 +154,13 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--p-min", "15", "--p-max", "9")
         assert code == 1 and "range" in err
 
+    def test_moduli_above_the_cap_exit_1_before_any_work(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "scan", "--p-min", "2147483647", "--p-max", "2147483649")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and out == ""
+        assert "2^31-1" in err and "Traceback" not in err
+
     def test_nonpositive_budget_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--p-min", "9", "--p-max", "15",
                                  "--budget", "-5")
@@ -253,6 +261,29 @@ class TestContract:
         assert err.startswith("usage: addtriples ")
         assert "unrecognized arguments: --jobs 4" in err and "Traceback" not in err
 
+    def test_unknown_option_prints_the_subcommand_usage(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--p", "9", "--s", "7", "--t", "6",
+                                 "--jobs", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: addtriples spectrum")
+        assert "--jobs" in err and "Traceback" not in err
+
+    def test_json_calls_build_no_csv_rows(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("CSV built for a JSON call")
+
+        monkeypatch.setattr(cli, "render_csv", refuse)
+        for name, (run, _) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, (run, refuse))
+        for argv in (
+            ("construct", "--p", "101", "--s", "30", "--t", "41", "--r", "500"),
+            ("spectrum", "--p", "11", "--s", "4", "--t", "5", "--mode", "multiset-dp"),
+            ("verify", "--p", "7,9", "--trials", "5", "--seed", "3"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            json.loads(out)
+
     def test_witness_recount_round_trip(self, capsys):
         payload = run_json(capsys, "construct", "--p", "9", "--s", "7", "--t", "6", "--r", "27")
         recount = run_json(
@@ -287,13 +318,24 @@ _JSON_PAYLOADS = st.recursive(
 )
 
 
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
 @given(_JSON_PAYLOADS)
+@example((7,))  # str((7,)) is "(7,)"
+@example([])
+@example([True, 1])  # bools are ints but render as true/false
+@example([1, True])
+@example([-3, 10**60])
+@example([1, _Colour.RED])  # an int subclass whose str is not its JSON
 def test_render_json_matches_json_dumps(payload):
     assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # The default JSON and CSV of a large construct and a mirrored multiset-dp
-# spectrum (s > p/2), pinned byte for byte by sha256.
+# spectrum (s > p/2), and the CSV of every other command, pinned byte for byte
+# by sha256.
 @pytest.mark.parametrize("argv, digest", [
     (("construct", "--p", "100001", "--s", "30000", "--t", "41000", "--r", "900000000"),
      "ef8e9bc16bdd3fedd86e22359ae745285393ae9613e36ac38250edd4ef7572e8"),
@@ -305,7 +347,21 @@ def test_render_json_matches_json_dumps(payload):
     (("spectrum", "--p", "401", "--s", "300", "--t", "150", "--mode", "multiset-dp",
       "--format", "csv"),
      "5368f1c3954e6d9ea8ea81e1b5ff72a6d79c28671f615c251b497193cf19f4da"),
-], ids=["construct-json", "construct-csv", "multiset-dp-json", "multiset-dp-csv"])
+    (("bounds", "--p", "9", "--s", "7", "--t", "6", "--format", "csv"),
+     "effb4984c47e4184a5999453c6d0eea6a9eb32deef37684abe4d8e81270780c7"),
+    (("count", "--p", "9", "--set-a", "0,1,2,4,5,7,8", "--set-b", "0,1,3,4,6,7",
+      "--method", "all", "--format", "csv"),
+     "f67f5c830f5ace29152e4dba1781953561c30d046991ff5e7fb49566517e26db"),
+    (("spectrum", "--p", "9", "--s", "7", "--t", "6", "--witnesses", "--format", "csv"),
+     "0b9a561d0fd9b01008d1037e94d179f3e6e55cd5667f652e57fe15c4d44912a2"),
+    (("schur", "--p", "7", "--s", "3", "--witnesses", "--format", "csv"),
+     "a5af1226b555cebf3468a13a723d6668b3b7700c15cb47a39600433011894d03"),
+    (("scan", "--p-min", "9", "--p-max", "9", "--format", "csv"),
+     "d0e1136c16a1829498b8c55e707b7b4fec12d948a006ed65eb0fdcb1862369c5"),
+    (("verify", "--p", "7,9", "--trials", "25", "--seed", "7", "--format", "csv"),
+     "99a8b2e271e088ac46ae257ca46901f0a5bfb33525c7e2298e5f25e19543c7d3"),
+], ids=["construct-json", "construct-csv", "multiset-dp-json", "multiset-dp-csv",
+        "bounds-csv", "count-all-csv", "spectrum-csv", "schur-csv", "scan-csv", "verify-csv"])
 def test_default_output_digest(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
