@@ -94,7 +94,7 @@ class ShiftProfile:
         return sum(self.counts.values())
 
     def weighted_total(self) -> int:
-        return sum(v * m for v, m in self.counts.items())
+        return sum(map(operator.mul, self.counts, self.counts.values()))
 
     def ascending(self) -> list[int]:
         """The full multiset as a sorted list of its p values (O(p); a test oracle)."""
@@ -114,9 +114,8 @@ def build_shift_profile(p: int, t: int) -> ShiftProfile:
     """
     p, t = _check_interval_args(p, t)
     floor = _overlap_floor(p, t)
-    counts = {t: 1}
-    for v in range(t - 1, floor, -1):
-        counts[v] = 2
+    counts = dict.fromkeys(range(t, floor, -1), 2)
+    counts[t] = 1
     counts[floor] = p - 1 - 2 * (t - 1 - floor)
     profile = ShiftProfile(p, t, counts)
     if profile.total() != p:

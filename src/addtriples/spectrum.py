@@ -14,6 +14,10 @@ The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
 over all A are the exactly-s selection sums of B's overlap multiset
 (bounded-multiplicity subset-sum DP over its histogram, on the values less
 the least one, so rows stay narrow when every overlap is at least 2t - p).
+The DP adds its values in ascending order, so a row of c items is at most
+c * (v - min) bits wide once value v is in; it stops updating a row once the
+copies still to come cannot lift it to the least requested size, and it
+returns only the requested rows, so no caller reads a row left partial.
 Translating B changes no count, so ``exhaustive`` visits only the B that
 contain 0 and runs the DP once per distinct histogram. The histograms depend
 on (p, t) alone, so the scanner makes one such pass per (p, t) for all its
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, lgamma, log, prod
@@ -222,12 +227,13 @@ def _exhaustive_pass(p: int, t: int, wanted: dict[int, int]):
     """One histogram walk for every size s in ``wanted``: (attained, witnesses) by s.
 
     ``wanted[s]`` is a bitmask over the values r that get a recounted witness
-    (-1 for all); each histogram runs one selection DP up to the largest s.
+    (-1 for all); each histogram runs one selection DP that returns the rows of
+    these sizes.
     """
     attained = dict.fromkeys(wanted, 0)
     witnesses: dict[int, dict[int, Witness]] = {s: {} for s in wanted}
     for b_tuple, overlaps in _distinct_profiles(p, t):
-        rows = _attainable_selection_sums(Counter(overlaps), max(wanted))
+        rows = _attainable_selection_sums(Counter(overlaps), wanted.keys())
         for s, mask in wanted.items():
             new = rows[s] & ~attained[s]
             attained[s] |= new
@@ -294,18 +300,22 @@ def spectrum_fixed_interval(
     )
 
 
-def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
-    """Subset-sum DP over a multiset: sums of exactly c elements for every c <= ``size``.
+def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -> dict[int, int]:
+    """Subset-sum DP over a multiset: the sums of exactly c elements for each c in ``sizes``.
 
-    Multiplicities are capped at ``size`` and binary-split, so one DP item
-    contributes k copies at once; row c of the returned table is a bitmask
-    over sums attainable with exactly c elements. The DP runs on the values
-    less the least value ``low``, so row c spans c * (max - low) bits rather
-    than c * max; each row is shifted back by c * low on return.
+    Returns {c: bitmask over the sums attainable with exactly c elements}.
+    Multiplicities are capped at the largest size and binary-split, so one DP
+    item contributes k copies at once. The DP runs on the values less the
+    least value ``low`` and adds its items in ascending value order, so once
+    value v is in, row c spans at most c * (v - low) bits; each returned row
+    is shifted back by c * low. With ``left`` copies still to come, a row
+    below min(sizes) - left can no longer reach a requested row, so it stops
+    being updated; only requested rows, which are never stopped, come back.
     """
+    size, least = max(sizes), min(sizes)
     low = min(counts)
     items: list[tuple[int, int]] = []
-    for v, m in counts.items():
+    for v, m in sorted(counts.items()):
         m = min(m, size)
         k = 1
         while m:
@@ -313,15 +323,17 @@ def _attainable_selection_sums(counts: dict[int, int], size: int) -> list[int]:
             items.append((v - low, take))
             m -= take
             k <<= 1
+    left = sum(k for _, k in items)
     rows = [0] * (size + 1)
     rows[0] = 1
     for v, k in items:
+        left -= k
         add = v * k
-        for c in range(size, k - 1, -1):
+        for c in range(size, max(k, least - left) - 1, -1):
             src = rows[c - k]
             if src:
                 rows[c] |= src << add
-    return [row << (c * low) for c, row in enumerate(rows)]
+    return {c: rows[c] << (c * low) for c in sizes}
 
 
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
@@ -334,7 +346,7 @@ def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
     params = Params(p, s, t)
     started = time.perf_counter()
     size = min(s, p - s)
-    attained = _attainable_selection_sums(build_shift_profile(p, t).counts, size)[size]
+    attained = _attainable_selection_sums(build_shift_profile(p, t).counts, (size,))[size]
     if size < s:  # bit x moves to bit t^2 - x
         attained = int(f"{attained:b}"[::-1], 2) << (t * t + 1 - attained.bit_length())
     return _make_report(

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 from math import comb, prod
 from pathlib import Path
@@ -7,11 +8,13 @@ import pytest
 
 from addtriples import counting, spectrum
 from addtriples.construction import build_shift_profile
-from addtriples.residues import DomainError, VerificationError, make_set
+from addtriples.residues import DomainError, VerificationError, bit_positions, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
+    _attainable_selection_sums,
     _check_budget,
     _distinct_profiles,
+    _exhaustive_pass,
     exception_scan,
     schur_spectrum,
     spectrum_exhaustive,
@@ -110,6 +113,33 @@ class TestExhaustive:
         for p in (9, 11, 15):
             for t in range(1, p):
                 assert list(_distinct_profiles(p, t)) == list(first_b_per_histogram(p, t)), (p, t)
+
+
+class TestSelectionSums:
+    @pytest.mark.parametrize("shape", ["single", "run", "sparse"])
+    def test_requested_rows_match_the_oracle(self, shape):
+        # the value 0 is always present and one value has more copies than the
+        # largest size, so the cap and the pruned rows below min(sizes) are exercised
+        rng = random.Random(f"selection-sums:{shape}")
+        for _ in range(300):
+            if shape == "single":
+                sizes = [rng.randint(1, 6)]
+            elif shape == "run":
+                first = rng.randint(1, 6)
+                sizes = list(range(first, first + rng.randint(2, 5)))
+            else:
+                sizes = [1, 5, 9] if rng.random() < 0.5 else rng.sample(range(1, 14), 3)
+            counts = {0: rng.randint(1, max(sizes) + 3)}
+            for _ in range(rng.randint(0, 4)):
+                counts[rng.randint(1, 25)] = rng.randint(1, 6)
+            counts[rng.randint(0, 25)] = max(sizes) + rng.randint(1, 3)
+            values = [v for v, m in counts.items() for _ in range(m)]
+            rng.shuffle(values)
+            oracle = selection_sums(values, max(sizes))
+            rows = _attainable_selection_sums(counts, sizes)
+            assert sorted(rows) == sorted(sizes), (counts, sizes)
+            for c in sizes:
+                assert bit_positions(rows[c]) == tuple(sorted(oracle[c])), (counts, sizes, c)
 
 
 class TestFixedInterval:
@@ -305,6 +335,15 @@ class TestExceptionScan:
                     expected = {value: report.witnesses[value] for value in report.exceptions}
                     assert record.witnesses == expected, (p, s, t)
         assert not records
+
+    def test_pass_without_size_one_equals_single_size_path(self):
+        # sizes {4, 6} leave rows below 4 prunable, which a scan asking for s = 1 never does
+        for t in range(1, 15):
+            attained, witnesses = _exhaustive_pass(15, t, {4: -1, 6: -1})
+            for s in (4, 6):
+                report = spectrum_exhaustive(15, s, t, want_witnesses=True)
+                assert bit_positions(attained[s]) == report.attained, (s, t)
+                assert witnesses[s] == report.witnesses, (s, t)
 
     def test_scan_witnesses_match_brute_oracle(self):
         result = exception_scan(9, 9)
