@@ -14,6 +14,7 @@ import io
 import json
 import operator
 import sys
+from itertools import chain
 
 from . import counting, verify
 from .bounds import bounds_for
@@ -197,7 +198,7 @@ def _run_construct(args):
         "p": witness.p, "s": witness.s, "t": witness.t,
         "target_r": witness.target_r, "achieved_r": witness.achieved_r,
         "witness_a": list(witness.a_set), "witness_b": list(witness.b_set),
-        "selection": [[v, c] for v, c in sorted(witness.selection.items(), reverse=True)],
+        "selection": list(map(list, witness.selection.items())),  # descending by contract
     }
     return payload, EXIT_OK
 
@@ -303,8 +304,10 @@ def render_json(payload: dict) -> str:
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set. Here only the containers are walked in Python: strings go through
     json's own string encoder, ints through ``str``, other scalars through
-    ``json.dumps``, and a list of plain ints is written by one ``str`` of the
-    whole list, its ", " separators then swapped for the indented ones. Dict
+    ``json.dumps``. A list of plain ints is written by one ``str`` of the
+    whole list, its ", " separators then swapped for the indented ones, and
+    a list of non-empty lists of plain ints (``selection``, the ``skipped``
+    rows of ``scan``) likewise, its "], [" row breaks swapped first. Dict
     keys must be strings, as in every payload the CLI builds.
     """
     return _render(payload, "\n") + "\n"
@@ -332,6 +335,14 @@ def _render(value, pad: str) -> str:
         if operator.countOf(map(type, value), int) == len(value):
             # list(): str((7,)) is "(7,)"; an exact int's repr is its str
             return "[" + inner + str(list(value))[1:-1].replace(", ", "," + inner) + pad + "]"
+        if (operator.countOf(map(type, value), list) == len(value) and all(value)
+                and operator.countOf(map(type, chain.from_iterable(value)), int)
+                == sum(map(len, value))):
+            # non-empty lists of exact ints: "], [" between rows, then ", " inside them
+            deep = inner + "  "
+            body = str(list(value))[2:-2].replace("], [", inner + "]," + inner + "[" + deep)
+            return ("[" + inner + "[" + deep + body.replace(", ", "," + deep)
+                    + inner + "]" + pad + "]")
         parts = (_render(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     return json.dumps(value)

@@ -13,24 +13,26 @@ selection sums an unbroken integer interval [r1, r2], and the endpoints
 have the same closed forms as the global bounds. That holds for every odd
 p, prime or not, which is what :func:`construct` exploits.
 
-:func:`build_shift_profile` writes M in this closed form, one entry per
-distinct value, so the profile, the selection and the realisation cost
-O(min(t, p - t)) rather than O(p); :func:`construct` builds the profile once
-and hands it to both. The selection takes the most copies of each value,
+:func:`build_shift_profile` writes M as a value -> count dict, one entry per
+distinct value, for the multiset DP and the tests. :func:`construct` needs
+no profile: with F the floor value and run = p - 1 - 2(t - 1 - F) its
+number of copies, the sum of the n smallest elements of M is
+n*F + floor((max(0, n - run) + 1)^2 / 4), and the element at any ascending
+position is as direct. The selection takes the most copies of each value,
 compared from the largest value down; on consecutive values that is the k
 largest elements, one element w, then the smallest rest, with k found by
-one bisect (see :func:`select_multisubset`). The selection rule and the
-residue tie-breaking here are deterministic, so a given (p, s, t, r) always
-yields the same witness set A.
+one bisect over those closed forms, so choosing costs O(log s) arithmetic
+and writing the chosen values costs one dict entry each (see
+:func:`select_multisubset`). The selection rule and the residue
+tie-breaking here are deterministic, so a given (p, s, t, r) always yields
+the same witness set A.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -68,6 +70,12 @@ def _check_interval_args(p: int, t: int) -> tuple[int, int]:
 def _overlap_floor(p: int, t: int) -> int:
     """The least overlap |(a + B) n B| over a: 0, or 2t - p once 2t > p."""
     return max(0, 2 * t - p)
+
+
+def _floor_run(p: int, t: int) -> tuple[int, int]:
+    """(F, run): the floor value and its number of copies p - 1 - 2(t - 1 - F) in the profile."""
+    floor = _overlap_floor(p, t)
+    return floor, p - 1 - 2 * (t - 1 - floor)
 
 
 def shift_overlap(p: int, t: int, a: int) -> int:
@@ -113,10 +121,10 @@ def build_shift_profile(p: int, t: int) -> ShiftProfile:
     entries, whatever the size of p.
     """
     p, t = _check_interval_args(p, t)
-    floor = _overlap_floor(p, t)
+    floor, run = _floor_run(p, t)
     counts = dict.fromkeys(range(t, floor, -1), 2)
     counts[t] = 1
-    counts[floor] = p - 1 - 2 * (t - 1 - floor)
+    counts[floor] = run
     profile = ShiftProfile(p, t, counts)
     if profile.total() != p:
         raise VerificationError(f"profile mass {profile.total()} != p = {p}")
@@ -180,7 +188,8 @@ def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     """The size-s multi-subset of the profile summing to r with the most
-    copies of each value, compared from the largest value down.
+    copies of each value, compared from the largest value down, as a
+    value -> count dict in descending value order.
 
     On consecutive values this is the k largest elements, one element w,
     then the s - k - 1 smallest elements. Write split(k) for the sum of the
@@ -190,9 +199,9 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     value, since that would cost at least split(k + 1) > r. The largest
     remaining element is then as large as possible when the others are the
     smallest: w is the (s - k)-th smallest value plus r - split(k), and it
-    lies below the (k + 1)-th largest value. Sums of the n smallest come from
-    cumulative counts and sums over the distinct values, so the multiset is
-    never expanded.
+    lies below the (k + 1)-th largest value. Partial sums and the value at a
+    position come in closed form from ``profile.p`` and ``profile.t`` alone
+    (see the module docstring); ``profile.counts`` is not read.
 
     Raises :class:`UnattainableTargetError` when r is outside [r1, r2].
     """
@@ -200,63 +209,98 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     r = operator.index(r)
     if not 1 <= s <= profile.p:
         raise DomainError(f"selection size must satisfy 1 <= s <= p, got s={s}")
-    values = sorted(profile.counts)
-    # below[i]: how many elements are smaller than values[i]; below_sum[i]: their sum
-    below = [0, *accumulate(profile.counts[v] for v in values)]
-    below_sum = [0, *accumulate(v * profile.counts[v] for v in values)]
-    size = below[-1]
+    return _select(profile.p, profile.t, s, r)
+
+
+def _select(p: int, t: int, s: int, r: int) -> dict[int, int]:
+    # The ascending profile: run copies of F, two of each value in (F, t), one t.
+    floor, run = _floor_run(p, t)
+    if run + 2 * (t - floor) - 1 != p:
+        raise VerificationError(f"profile mass {run + 2 * (t - floor) - 1} != p = {p}")
 
     def smallest(n: int) -> int:
-        # Sum of the n smallest elements of the ascending multiset.
-        i = bisect_right(below, n) - 1
-        return below_sum[i] if i == len(values) else below_sum[i] + (n - below[i]) * values[i]
+        # Sum of the n smallest elements: n floors, plus the n - run smallest of
+        # {1, 1, 2, 2, ..., t-F-1, t-F-1, t-F} (see partial_sum_smallest).
+        return n * floor + (max(0, n - run) + 1) ** 2 // 4
+
+    def value(i: int) -> int:
+        # The element at ascending position i.
+        return floor if i < run else floor + (i - run) // 2 + 1
+
+    def copies(v: int, lo: int, hi: int) -> int:
+        # How many of the positions [lo, hi) hold v; t has one position, p - 1.
+        first = 0 if v == floor else run + 2 * (v - floor - 1)
+        return min(hi, run if v == floor else first + 2) - max(lo, first)
+
+    total = smallest(p)
+    if total != t * t:
+        raise VerificationError(f"profile weighted mass {total} != t^2 = {t * t}")
 
     def split(k: int) -> int:
         # The k largest elements plus the s - k smallest.
-        return below_sum[-1] - smallest(size - k) + smallest(s - k)
+        return total - smallest(p - k) + smallest(s - k)
 
     r1, r2 = split(0), split(s)
     if not r1 <= r <= r2:
         raise UnattainableTargetError(r, r1, r2)
     k = bisect_right(range(s + 1), r, key=split) - 1
-    chosen: Counter[int] = Counter()
-    # positions [lo, hi) of the ascending multiset: the k largest, the s - k - 1 smallest
-    for lo, hi in ((size - k, size), (0, max(s - k - 1, 0))):
-        i = bisect_right(below, lo) - 1
-        while i < len(values) and below[i] < hi:
-            chosen[values[i]] += min(hi, below[i + 1]) - max(lo, below[i])
-            i += 1
-    if k < s:  # w: the (s - k)-th smallest value plus the remainder
-        w = values[bisect_right(below, s - k - 1) - 1] + r - split(k)
-        chosen[w] += 1
-    selection = {v: chosen[v] for v in sorted(chosen, reverse=True)}
-    taken = (sum(selection.values()), sum(v * c for v, c in selection.items()))
-    if taken != (s, r):
-        raise VerificationError(f"selection has (size, sum) {taken}, wanted {(s, r)}")
+    selection: dict[int, int] = {}
+
+    def take(lo: int, hi: int) -> tuple[int, int]:
+        # Add positions [lo, hi) as one run, largest value first: the top value,
+        # two copies of each value strictly between, the bottom value. Counts
+        # add to any already there, as w may equal the top of the smallest rest.
+        # Returns the run's (size, sum).
+        if lo >= hi:
+            return 0, 0
+        top, bottom = value(hi - 1), value(lo)
+        if top == bottom:
+            selection[top] = selection.get(top, 0) + hi - lo
+            return hi - lo, top * (hi - lo)
+        c_top, c_bottom = copies(top, lo, hi), copies(bottom, lo, hi)
+        selection[top] = selection.get(top, 0) + c_top
+        selection.update(dict.fromkeys(range(top - 1, bottom, -1), 2))
+        selection[bottom] = selection.get(bottom, 0) + c_bottom
+        between = top - bottom - 1
+        return (c_top + 2 * between + c_bottom,
+                top * c_top + (top + bottom) * between + bottom * c_bottom)
+
+    size, weight = take(p - k, p)  # the k largest; with k = s they may reach the floor run
+    if k < s:  # w: the (s - k)-th smallest value plus the remainder, then the smallest rest
+        w = value(s - k - 1) + r - split(k)
+        selection[w] = selection.get(w, 0) + 1
+        rest = take(0, s - k - 1)
+        size, weight = size + 1 + rest[0], weight + w + rest[1]
+    if (size, weight) != (s, r):
+        raise VerificationError(f"selection has (size, sum) {(size, weight)}, wanted {(s, r)}")
     return selection
 
 
 def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
     """The canonical set A whose overlap multiset equals ``selection``.
 
-    ``selection`` must draw on ``profile``, the overlap multiset of the
-    interval B = {0..t-1} in Z_p. Tie-breaking: value t comes from a = 0; an
-    intermediate value v comes first from the positive representative
-    a = t - v, then from p - (t - v); the floor value takes residues from its
-    canonical run in increasing order (starting at t when the floor is 0, at
-    p - t otherwise). The residues and the floor run go into one bool
-    indicator, packed into the bitmask once.
+    ``selection`` must draw on the overlap multiset of the interval
+    B = {0..t-1} in Z_p, with p and t read from ``profile``; each count is
+    checked against the closed-form multiplicity of its value, and an
+    overdrawn value raises :class:`DomainError`. Tie-breaking: value t comes
+    from a = 0; an intermediate value v comes first from the positive
+    representative a = t - v, then from p - (t - v); the floor value takes
+    residues from its canonical run in increasing order (starting at t when
+    the floor is 0, at p - t otherwise). The residues and the floor run go
+    into one bool indicator, packed into the bitmask once.
     """
-    p, t = profile.p, profile.t
-    floor = profile.floor_value
+    return _realize(selection, profile.p, profile.t)
+
+
+def _realize(selection: dict[int, int], p: int, t: int) -> ResidueSet:
+    floor, run = _floor_run(p, t)
     residues = []
-    run = slice(0, 0)  # the floor run
-    for v, c in sorted(selection.items(), reverse=True):
+    floor_slice = slice(0, 0)  # the residues of the floor run
+    for v, c in selection.items():
         c = operator.index(c)
-        if c < 0 or c > profile.counts.get(v, 0):
-            raise DomainError(
-                f"selection takes {c} copies of value {v}, profile has {profile.counts.get(v, 0)}"
-            )
+        have = 1 if v == t else run if v == floor else 2 if floor < v < t else 0
+        if c < 0 or c > have:
+            raise DomainError(f"selection takes {c} copies of value {v}, profile has {have}")
         if c == 0:
             continue
         if v == t:
@@ -267,10 +311,10 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
                 residues.append(p - (t - v))
         else:
             start = t if floor == 0 else p - t
-            run = slice(start, start + c)
-    flags = np.zeros(max(run.stop, max(residues, default=-1) + 1), dtype=bool)
+            floor_slice = slice(start, start + c)
+    flags = np.zeros(max(floor_slice.stop, max(residues, default=-1) + 1), dtype=bool)
     flags[residues] = True
-    flags[run] = True
+    flags[floor_slice] = True
     return ResidueSet(p, pack_indicator(flags))
 
 
@@ -291,7 +335,8 @@ class ConstructionWitness:
 def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     """Build A with r(A, B, B) = r for B = {0..t-1}; works for every odd p.
 
-    The achieved count is recomputed from the residues of A by
+    The selection and its realisation come from (p, t) in closed form, with
+    no profile built (see :func:`select_multisubset`). The achieved count is recomputed from the residues of A by
     :func:`counting.count_interval`, in O(s), before the witness is
     returned; a mismatch would be a bug and raises :class:`VerificationError`.
     """
@@ -300,9 +345,8 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     r1, r2 = extreme_sums(p, s, t)
     if not r1 <= r <= r2:
         raise UnattainableTargetError(r, r1, r2)
-    profile = build_shift_profile(p, t)
-    selection = select_multisubset(profile, s, r)
-    a_set = realize_set(selection, profile)
+    selection = _select(params.p, params.t, params.s, r)
+    a_set = _realize(selection, params.p, params.t)
     b_set = interval_set(p, t)
     if a_set.cardinality != s:
         raise VerificationError(f"witness has {a_set.cardinality} elements, wanted {s}")

@@ -86,6 +86,29 @@ def lexmax_selection(counts, s, r):
     return None
 
 
+def greedy_lexmax_selection(ascending, s, r):
+    """The size-s, sum-r sub-multiset of a sorted list that is lex-max from the largest value down.
+
+    Walks the list from its largest element down and takes an element whenever
+    the rest can still be completed from the elements below it. That test is
+    exact when neighbouring values differ by at most one, as in an overlap
+    profile: then the sums of n elements drawn from the i lowest are every
+    integer from the n smallest to the n largest of them. Returns a value ->
+    count dict in descending value order, or None when nothing matches.
+    """
+    prefix = [0]
+    for x in ascending:
+        prefix.append(prefix[-1] + x)
+    chosen = {}
+    need, left = s, r
+    for i in range(len(ascending) - 1, -1, -1):
+        x, n = ascending[i], need - 1  # after taking x, n more from ascending[:i]
+        if 0 <= n <= i and prefix[n] <= left - x <= prefix[i] - prefix[i - n]:
+            chosen[x] = chosen.get(x, 0) + 1
+            need, left = n, left - x
+    return chosen if (need, left) == (0, 0) else None
+
+
 def realized_elements(selection, p, t):
     """The residues that realise an overlap selection for B = {0..t-1}, ascending.
 

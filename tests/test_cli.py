@@ -296,7 +296,8 @@ class TestContract:
 
 
 # JSON-like payloads for the renderer: every scalar json.dumps writes, lists of
-# plain ints (the renderer's fast path) and of bools, tuples, empty containers.
+# plain ints and lists of such lists (the renderer's fast paths) and of bools,
+# tuples, empty containers.
 _JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -329,6 +330,13 @@ class _Colour(enum.IntEnum):
 @example([1, True])
 @example([-3, 10**60])
 @example([1, _Colour.RED])  # an int subclass whose str is not its JSON
+@example([[1, 2], [3]])  # lists of int lists: the nested fast path
+@example([[1], []])  # an empty row
+@example([[True, 1]])
+@example([[1, 2], (3, 4)])  # str((3, 4)) is "(3, 4)"
+@example([[[1]]])
+@example([[-3, 10**60]])
+@example([[1, _Colour.RED]])
 def test_render_json_matches_json_dumps(payload):
     assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -19,7 +19,13 @@ from addtriples.construction import (
 )
 from addtriples.residues import DomainError, VerificationError, make_set
 
-from oracles import brute_count, lexmax_selection, pair_multiset, realized_elements
+from oracles import (
+    brute_count,
+    greedy_lexmax_selection,
+    lexmax_selection,
+    pair_multiset,
+    realized_elements,
+)
 
 
 class TestShiftOverlap:
@@ -178,6 +184,52 @@ class TestSelectMultisubset:
                     for r in (r1 - 1, r2 + 1):
                         with pytest.raises(UnattainableTargetError):
                             select_multisubset(profile, s, r)
+
+    @given(
+        st.integers(min_value=1, max_value=1000).flatmap(
+            lambda h: st.tuples(
+                st.just(2 * h + 1),
+                st.integers(min_value=1, max_value=2 * h),
+                st.integers(min_value=1, max_value=2 * h + 1),
+                st.integers(min_value=0, max_value=10**12),
+            )
+        )
+    )
+    def test_matches_greedy_oracle_to_p2001(self, args):
+        p, t, s, seed = args
+        ascending = build_shift_profile(p, t).ascending()
+        r1, r2 = sum(ascending[:s]), sum(ascending[-s:])
+        r = r1 - 1 + seed % (r2 - r1 + 3)  # [r1, r2] and one step outside on each side
+        expected = greedy_lexmax_selection(ascending, s, r)
+        if expected is None:
+            with pytest.raises(UnattainableTargetError):
+                select_multisubset(build_shift_profile(p, t), s, r)
+        else:
+            selection = select_multisubset(build_shift_profile(p, t), s, r)
+            assert list(selection.items()) == list(expected.items()), (p, s, t, r)
+
+    def test_matches_greedy_oracle_at_edges(self):
+        p = 2001
+        cases = [
+            (s, t, where)
+            for t in (1, (p - 1) // 2, (p + 1) // 2, p - 1)  # either side of 2t = p
+            for s in (1, 2, (p - 1) // 2, p - 1, p)
+            for where in ("r1", "r1+1", "mid", "r2-1", "r2")
+        ]
+        cases += [(700, 300, "r1"), (700, 300, "r1+1")]  # k = 0: nothing from the top
+        # k = s with the top run deep into the floor run, at floor 0 and at floor 2t - p
+        cases += [(1900, 300, "r2"), (1900, 1500, "r2"), (1900, 1500, "r2-1")]
+        for s, t, where in cases:
+            profile = build_shift_profile(p, t)
+            ascending = profile.ascending()
+            r1, r2 = sum(ascending[:s]), sum(ascending[-s:])
+            r = {"r1": r1, "r1+1": r1 + 1, "mid": (r1 + r2) // 2, "r2-1": r2 - 1, "r2": r2}[where]
+            r = min(max(r, r1), r2)
+            expected = greedy_lexmax_selection(ascending, s, r)
+            selection = select_multisubset(profile, s, r)
+            assert list(selection.items()) == list(expected.items()), (p, s, t, r)
+            if s == 1900 and where == "r2":  # the s largest, floor copies and all
+                assert selection[profile.floor_value] == s - (2 * (t - profile.floor_value) - 1)
 
     @given(construction_instances())
     def test_selection_contract(self, args):
