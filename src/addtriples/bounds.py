@@ -111,15 +111,10 @@ class BoundsResult:
 
 
 def bounds_for(p: int, s: int, t: int) -> BoundsResult:
+    """f and g for one instance, validated (and p tested for primality) once."""
     params = Params(p, s, t)
-    return BoundsResult(
-        p=params.p,
-        s=params.s,
-        t=params.t,
-        f=lower_bound(p, s, t),
-        g=upper_bound(p, s, t),
-        guaranteed=params.prime,
-    )
+    p, s, t = params.p, params.s, params.t
+    return BoundsResult(p=p, s=s, t=t, f=_f(p, s, t), g=_g(p, s, t), guaranteed=params.prime)
 
 
 class InequalityCheck(NamedTuple):

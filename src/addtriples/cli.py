@@ -123,7 +123,8 @@ def build_parser() -> _Parser:
     sn.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
 
     v = sub.add_parser("verify", parents=[common], help="seeded randomized property checks")
-    v.add_argument("--p", type=_int_list, required=True, help="comma-separated moduli")
+    v.add_argument("--p", type=_int_list, required=True,
+                   help="comma-separated odd moduli, each at most 2^15 = 32768")
     v.add_argument("--trials", type=int, required=True)
     v.add_argument("--seed", type=int, default=0)
 

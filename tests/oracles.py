@@ -18,6 +18,12 @@ def brute_count(p, a_elems, b_elems):
     return total
 
 
+def sample_indicator(rng, p, size):
+    """The bitmask of ``rng.sample(range(p), size)``, which verify's draw must match word for
+    word."""
+    return sum(1 << x for x in rng.sample(range(p), size))
+
+
 def brute_multiplicities(p, a_elems, b_elems):
     """Number of representations of each residue as a + b."""
     counts = [0] * p

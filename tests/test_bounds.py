@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from addtriples import bounds
 from addtriples.construction import extreme_sums
-from addtriples.residues import DomainError, ResidueSet, make_set
+from addtriples.residues import DomainError, ResidueSet, is_prime, make_set
 
 from oracles import brute_count, pollard_sweep
 
@@ -105,6 +105,17 @@ def test_bounds_result_fields():
     result = bounds.bounds_for(9, 7, 6)
     assert (result.f, result.g, result.guaranteed) == (25, 30, False)
     assert bounds.bounds_for(11, 4, 5).guaranteed
+
+
+def test_bounds_for_matches_the_scalar_bounds():
+    for p in (3, 5, 7, 9, 15, 21, 25, 27, 31, 33, 35, 49):
+        for s in range(1, p):
+            for t in range(1, p):
+                result = bounds.bounds_for(p, s, t)
+                assert (result.p, result.s, result.t) == (p, s, t)
+                assert (result.f, result.g, result.guaranteed) == (
+                    bounds.lower_bound(p, s, t), bounds.upper_bound(p, s, t), is_prime(p)
+                )
 
 
 class TestPollardLowerAt:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from addtriples import cli
+from addtriples import cli, verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,6 +191,18 @@ class TestVerify:
     def test_negative_trials_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--p", "5", "--trials", "-5")
         assert code == 1 and out == "" and "trials" in err
+
+    def test_moduli_above_the_cap_exit_1_before_any_draw(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--p", "2147483647", "--trials", "1",
+                                 "--seed", "1")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and out == ""
+        assert f"at most 2^15 = {verify._MAX_MODULUS}" in err and "Traceback" not in err
+
+    def test_help_names_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0 and f"at most 2^15 = {verify._MAX_MODULUS}" in " ".join(out.split())
 
     def test_default_output_matches_golden_file(self, capsys):
         # pins the seeded draw stream and the default JSON byte for byte
@@ -402,6 +414,13 @@ _RESIDUES = st.one_of(
     st.text(max_size=6),
 )
 
+# verify's --p also sees the moduli cap and the top of the domain, alone or after a small p
+_MODULI = st.one_of(
+    _RESIDUES,
+    st.lists(st.sampled_from([5, 2**31 - 1, verify._MAX_MODULUS - 2, verify._MAX_MODULUS + 2]),
+             min_size=1, max_size=2).map(lambda ps: ",".join(map(str, ps))),
+)
+
 
 def _flag(name, values):
     """Either the flag with one drawn value, or the flag left out."""
@@ -428,7 +447,7 @@ _ARGV = st.one_of(
           st.sampled_from([[], ["--witnesses"], ["--timing"]])),
     _argv("scan", _flag("--p-min", _SMALL), _flag("--p-max", _SMALL),
           _flag("--budget", _BUDGET)),
-    _argv("verify", _flag("--p", _RESIDUES), _flag("--trials", st.integers(-3, 20)),
+    _argv("verify", _flag("--p", _MODULI), _flag("--trials", st.integers(-3, 20)),
           _flag("--seed", st.integers(-(10**6), 10**6))),
     st.lists(st.sampled_from(["bounds", "scan", "--p", "9", "-1", "--help", "", "x"]), max_size=4),
 )

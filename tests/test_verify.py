@@ -1,10 +1,13 @@
 import hashlib
 import random
 
-from addtriples import cli, counting
-from addtriples.verify import PRIME_ONLY_CHECKS, _random_pair, run_verification
+import pytest
 
-from oracles import brute_count, brute_multiplicities
+from addtriples import cli, counting, verify
+from addtriples.residues import DomainError
+from addtriples.verify import PRIME_ONLY_CHECKS, _random_pair, _random_set, run_verification
+
+from oracles import brute_count, brute_multiplicities, sample_indicator
 
 
 def test_primes_pass_cleanly():
@@ -68,6 +71,30 @@ def test_draw_stream_is_pinned():
             a, b = _random_pair(rng, p)
             digest.update(f"{p} {a.cardinality} {b.cardinality} {a.bits} {b.bits}\n".encode())
     assert digest.hexdigest() == "9cca4f29c34b34213671bac6b0f5e866e684f5374e92f3bcc577f566107de29a"
+
+
+@pytest.mark.parametrize(
+    "p", [3, 5, 9, 21, 23, 85, 87, 101, 277, 279, 499, 501, 1045, 1047, 4099, 4117, 4119, 30001]
+)
+def test_random_set_reads_the_words_sample_reads(p):
+    # sample pools all p residues when p <= setsize and rejects repeats otherwise;
+    # setsize is 21, 85, 277, 1045 and 4117 for k in 1..5, 6..21, 22..85, 86..341
+    # and 342..1365, so every p from 23 up meets both branches, and each setsize
+    # and the odd p after it pin the branch boundary
+    sizes = {1, 5, 6, 21, 22, 85, 86, 341, 342, p // 2, p - 1}
+    for seed in range(3):
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        for size in sorted(size for size in sizes if 1 <= size < p):
+            assert _random_set(drawn, p, size).bits == sample_indicator(oracle, p, size)
+            assert drawn.getstate() == oracle.getstate(), (seed, size)
+
+
+def test_moduli_above_the_cap_are_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(verify, "_random_set", lambda *args: pytest.fail("drew a set"))
+    for p in (verify._MAX_MODULUS + 1, 2**31 - 1):
+        with pytest.raises(DomainError, match=f"at most 2\\^15 = {verify._MAX_MODULUS}"):
+            run_verification([5, p], 1, seed=1)
+    assert verify._MAX_MODULUS == 2**15
 
 
 def _replayed_pairs(p, trials, seed):
