@@ -305,16 +305,24 @@ def render_json(payload: dict) -> str:
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set. Here only the containers are walked in Python: strings go through
     json's own string encoder, ints through ``str``, other scalars through
-    ``json.dumps``. A list of plain ints is written by one ``str`` of the
-    whole list, its ", " separators then swapped for the indented ones, and
-    a list of non-empty lists of plain ints (``selection``, the ``skipped``
-    rows of ``scan``) likewise, its "], [" row breaks swapped first. Dict
-    keys must be strings, as in every payload the CLI builds.
+    ``json.dumps``. A list of plain ints is written by one ``%`` format: a
+    template with one ``%d`` per item and the indented separators between
+    them, applied to the tuple of the items. A list of non-empty lists of
+    plain ints (``selection``, the ``skipped`` rows of ``scan``) joins one
+    such row template per row, built once per distinct row length, and
+    applies ``%`` once to all the ints. ``'%d' % x`` is ``str(x)`` for an
+    exact int, and raises the same ``ValueError`` past the int -> str digit
+    limit. Dict keys must be strings, as in every payload the CLI builds.
     """
     return _render(payload, "\n") + "\n"
 
 
 _quote = json.encoder.encode_basestring_ascii  # the string writer json.dumps uses
+
+
+def _int_template(n: int, inner: str, pad: str) -> str:
+    """The ``%`` template of an indented list of n >= 1 ints, one ``%d`` per item."""
+    return "[" + inner + "%d" + ("," + inner + "%d") * (n - 1) + pad + "]"
 
 
 def _render(value, pad: str) -> str:
@@ -334,16 +342,21 @@ def _render(value, pad: str) -> str:
         if not value:
             return "[]"
         if operator.countOf(map(type, value), int) == len(value):
-            # list(): str((7,)) is "(7,)"; an exact int's repr is its str
-            return "[" + inner + str(list(value))[1:-1].replace(", ", "," + inner) + pad + "]"
+            # '%d' of an exact int is its str; pads hold no '%', keys never reach a template
+            return _int_template(len(value), inner, pad) % tuple(value)
         if (operator.countOf(map(type, value), list) == len(value) and all(value)
                 and operator.countOf(map(type, chain.from_iterable(value)), int)
                 == sum(map(len, value))):
-            # non-empty lists of exact ints: "], [" between rows, then ", " inside them
+            # non-empty lists of exact ints: one row template per distinct row length
             deep = inner + "  "
-            body = str(list(value))[2:-2].replace("], [", inner + "]," + inner + "[" + deep)
-            return ("[" + inner + "[" + deep + body.replace(", ", "," + deep)
-                    + inner + "]" + pad + "]")
+            lengths = list(map(len, value))
+            if lengths.count(lengths[0]) == len(lengths):  # the usual case: skips the dict
+                rows = [_int_template(lengths[0], deep, inner)] * len(value)
+            else:
+                templates = {n: _int_template(n, deep, inner) for n in set(lengths)}
+                rows = map(templates.__getitem__, lengths)
+            body = ("," + inner).join(rows)
+            return ("[" + inner + body + pad + "]") % tuple(chain.from_iterable(value))
         parts = (_render(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     return json.dumps(value)

@@ -133,11 +133,16 @@ def build_shift_profile(p: int, t: int) -> ShiftProfile:
     return profile
 
 
+def _smallest_of_pairs(n: int) -> int:
+    """Sum of the n smallest elements of {1, 1, 2, 2, ...}: floor((n+1)^2 / 4), 0 at n = 0."""
+    return (n + 1) ** 2 // 4
+
+
 def partial_sum_smallest(u: int, n: int) -> int:
     """Sum of the n smallest elements of {1,1,2,2,...,u-1,u-1,u}: floor((n+1)^2 / 4)."""
     if not 1 <= n <= 2 * u - 1:
         raise DomainError(f"need 1 <= n <= 2u-1 = {2 * u - 1}, got n={n}")
-    return (n + 1) ** 2 // 4
+    return _smallest_of_pairs(n)
 
 
 def partial_sum_largest(u: int, n: int) -> int:
@@ -220,8 +225,8 @@ def _select(p: int, t: int, s: int, r: int) -> dict[int, int]:
 
     def smallest(n: int) -> int:
         # Sum of the n smallest elements: n floors, plus the n - run smallest of
-        # {1, 1, 2, 2, ..., t-F-1, t-F-1, t-F} (see partial_sum_smallest).
-        return n * floor + (max(0, n - run) + 1) ** 2 // 4
+        # {1, 1, 2, 2, ..., t-F-1, t-F-1, t-F}.
+        return n * floor + _smallest_of_pairs(max(0, n - run))
 
     def value(i: int) -> int:
         # The element at ascending position i.

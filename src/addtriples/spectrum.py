@@ -15,13 +15,16 @@ over all A are the exactly-s selection sums of B's overlap multiset
 (bounded-multiplicity subset-sum DP over its histogram, on the values less
 the least one, so rows stay narrow when every overlap is at least 2t - p).
 The DP adds its values in ascending order, so a row of c items is at most
-c * (v - min) bits wide once value v is in; it stops updating a row once the
-copies still to come cannot lift it to the least requested size, and it
-returns only the requested rows, so no caller reads a row left partial.
-Translating B changes no count, so ``exhaustive`` visits only the B that
-contain 0 and runs the DP once per distinct histogram. The histograms depend
-on (p, t) alone, so the scanner makes one such pass per (p, t) for all its
-sizes s.
+c * (v - min) bits wide once value v is in. A value with exactly two
+copies (each interval value strictly between the floor and t, and any value
+that one a <-> -a pair of overlaps holds alone) goes in with one sweep over
+the rows rather than two; other multiplicities are binary-split. The DP
+stops updating a row once the copies still to come cannot lift it to the
+least requested size, and it returns only the requested rows, so no caller
+reads a row left partial. Translating B changes no count, so ``exhaustive``
+visits only the B that contain 0 and runs the DP once per distinct
+histogram. The histograms depend on (p, t) alone, so the scanner makes one
+such pass per (p, t) for all its sizes s.
 
 Every mode hands its attained values to the report as one bitmask, and the
 report reads the attained values, the gaps inside the closed-form interval
@@ -304,35 +307,44 @@ def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -
     """Subset-sum DP over a multiset: the sums of exactly c elements for each c in ``sizes``.
 
     Returns {c: bitmask over the sums attainable with exactly c elements}.
-    Multiplicities are capped at the largest size and binary-split, so one DP
-    item contributes k copies at once. The DP runs on the values less the
-    least value ``low`` and adds its items in ascending value order, so once
-    value v is in, row c spans at most c * (v - low) bits; each returned row
-    is shifted back by c * low. With ``left`` copies still to come, a row
+    Multiplicities are capped at the largest size. A value with exactly two
+    copies, as every interval-profile value strictly between the floor and t
+    has, is added in one descending sweep, row c gaining
+    (rows[c-1] | rows[c-2] << v) << v; any other multiplicity is
+    binary-split, so one pass adds k copies at once. The DP runs on the
+    values less the least value ``low`` and adds them in ascending order, so
+    once value v is in, row c spans at most c * (v - low) bits; each returned
+    row is shifted back by c * low. With ``left`` copies still to come, a row
     below min(sizes) - left can no longer reach a requested row, so it stops
     being updated; only requested rows, which are never stopped, come back.
     """
     size, least = max(sizes), min(sizes)
     low = min(counts)
-    items: list[tuple[int, int]] = []
+    left = sum(min(m, size) for m in counts.values())
+    rows = [0] * (size + 1)
+    rows[0] = 1
     for v, m in sorted(counts.items()):
+        v -= low
         m = min(m, size)
+        if m == 2:  # both copies in one sweep
+            left -= 2
+            stop = least - left
+            for c in range(size, max(2, stop) - 1, -1):
+                rows[c] |= (rows[c - 1] | rows[c - 2] << v) << v
+            if stop <= 1:
+                rows[1] |= rows[0] << v
+            continue
         k = 1
         while m:
             take = min(k, m)
-            items.append((v - low, take))
             m -= take
             k <<= 1
-    left = sum(k for _, k in items)
-    rows = [0] * (size + 1)
-    rows[0] = 1
-    for v, k in items:
-        left -= k
-        add = v * k
-        for c in range(size, max(k, least - left) - 1, -1):
-            src = rows[c - k]
-            if src:
-                rows[c] |= src << add
+            left -= take
+            add = v * take
+            for c in range(size, max(take, least - left) - 1, -1):
+                src = rows[c - take]
+                if src:
+                    rows[c] |= src << add
     return {c: rows[c] << (c * low) for c in sizes}
 
 

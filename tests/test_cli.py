@@ -349,8 +349,22 @@ class _Colour(enum.IntEnum):
 @example([[[1]]])
 @example([[-3, 10**60]])
 @example([[1, _Colour.RED]])
+@example([7])  # a one-item template
+@example([-(2**70), 2**64, 0])  # past int64 either way
+@example(list(range(-500, 1500)))
+@example([[1, 2, 3], [4], [5, 6]])  # unequal rows: one template per row length
+@example([[1, 2], [3, 4]] * 500)
+@example({"%d": [1, 2], "a%s": [[3, 4]]})  # a '%' in a key never reaches a template
 def test_render_json_matches_json_dumps(payload):
     assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [[10**5000], [[1, 10**5000]], {"x": 10**5000}])
+def test_render_json_refuses_ints_past_the_digit_limit_as_json_dumps_does(payload):
+    with pytest.raises(ValueError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(ValueError):
+        cli.render_json(payload)
 
 
 # The default JSON and CSV of a large construct and a mirrored multiset-dp

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb, prod
 from pathlib import Path
@@ -133,13 +134,52 @@ class TestSelectionSums:
             for _ in range(rng.randint(0, 4)):
                 counts[rng.randint(1, 25)] = rng.randint(1, 6)
             counts[rng.randint(0, 25)] = max(sizes) + rng.randint(1, 3)
-            values = [v for v, m in counts.items() for _ in range(m)]
-            rng.shuffle(values)
-            oracle = selection_sums(values, max(sizes))
-            rows = _attainable_selection_sums(counts, sizes)
-            assert sorted(rows) == sorted(sizes), (counts, sizes)
-            for c in sizes:
-                assert bit_positions(rows[c]) == tuple(sorted(oracle[c])), (counts, sizes, c)
+            self._assert_rows_match_the_oracle(counts, sizes)
+
+    @staticmethod
+    def _assert_rows_match_the_oracle(counts, sizes):
+        values = [v for v, m in counts.items() for _ in range(m)]
+        oracle = selection_sums(values, max(sizes))
+        rows = _attainable_selection_sums(counts, sizes)
+        assert sorted(rows) == sorted(sizes), (counts, sizes)
+        for c in sizes:
+            assert bit_positions(rows[c]) == tuple(sorted(oracle[c])), (counts, sizes, c)
+
+    @pytest.mark.parametrize("p", [7, 9, 15, 21, 31])
+    def test_interval_profiles_match_the_oracle(self, p):
+        # every value strictly between the floor and t has two copies: the pair sweep
+        for t in range(1, p):
+            counts = build_shift_profile(p, t).counts
+            for s in range(1, p):
+                self._assert_rows_match_the_oracle(counts, (s,))
+            self._assert_rows_match_the_oracle(counts, range(1, p))
+            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1))
+
+    @pytest.mark.parametrize("p", [9, 15, 21])
+    def test_random_b_histograms_match_the_oracle(self, p):
+        # overlaps at a and -a agree, so a value held by one such pair has two copies
+        rng = random.Random(f"selection-sums:histogram:{p}")
+        for _ in range(12):
+            b = rng.sample(range(p), rng.randint(1, p - 1))
+            counts = Counter(brute_count(p, [a], b) for a in range(p))
+            self._assert_rows_match_the_oracle(counts, (rng.randint(1, p - 1),))
+            self._assert_rows_match_the_oracle(counts, sorted(rng.sample(range(1, p), 3)))
+            self._assert_rows_match_the_oracle(counts, range(1, p))
+
+    @pytest.mark.parametrize("counts", [
+        {0: 1, 3: 2},
+        {1: 3, 4: 2},
+        {0: 2, 2: 2, 7: 2},
+        {5: 1, 6: 2, 9: 4, 11: 2},
+    ])
+    def test_a_last_pair_with_row_1_or_2_lowest_live(self, counts):
+        # the largest value has two copies, so with no copies left after it the
+        # least size sets the lowest row its sweep updates: row 1 or row 2
+        total = sum(counts.values())
+        for least in range(1, total + 1):
+            self._assert_rows_match_the_oracle(counts, (least,))
+            for other in range(least + 1, total + 1):
+                self._assert_rows_match_the_oracle(counts, (least, other))
 
 
 class TestFixedInterval:
