@@ -143,7 +143,7 @@ def cauchy_davenport_check(a_set: ResidueSet, b_set: ResidueSet) -> InequalityCh
     return InequalityCheck(lhs >= rhs, lhs, rhs)
 
 
-def _pollard_sides(p: int, s: int, t: int, sizes) -> tuple[np.ndarray, np.ndarray]:
+def pollard_sides(p: int, s: int, t: int, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the layer inequality at j = 1..min(s, t) from the layer sizes, as int64
     arrays (each entry below p^2 < 2^62); layers beyond ``sizes`` are empty."""
     top = min(s, t)
@@ -159,14 +159,14 @@ def pollard_check(a_set: ResidueSet, b_set: ResidueSet, j: int) -> InequalityChe
     if not 1 <= j <= min(s, t):
         raise DomainError(f"need 1 <= j <= min(s, t) = {min(s, t)}, got j={j}")
     p = _prime_modulus(a_set, b_set, "layer")
-    lhs, rhs = (int(side[j - 1]) for side in _pollard_sides(p, s, t, layer_sizes(a_set, b_set)))
+    lhs, rhs = (int(side[j - 1]) for side in pollard_sides(p, s, t, layer_sizes(a_set, b_set)))
     return InequalityCheck(lhs >= rhs, lhs, rhs)
 
 
 def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[InequalityCheck]:
     """The layer inequality at every j = 1..min(s, t), as plain Python bools and ints."""
     p = _prime_modulus(a_set, b_set, "layer")
-    lhs, rhs = _pollard_sides(p, a_set.cardinality, b_set.cardinality, layer_sizes(a_set, b_set))
+    lhs, rhs = pollard_sides(p, a_set.cardinality, b_set.cardinality, layer_sizes(a_set, b_set))
     return list(map(InequalityCheck, (lhs >= rhs).tolist(), lhs.tolist(), rhs.tolist()))
 
 

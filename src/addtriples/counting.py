@@ -30,9 +30,13 @@ both walk the pair sums a + b in numpy blocks of whole rows of A, each
 holding at most max(_PAIR_BLOCK, |B|) pairs (2^20 pairs, 8 MB, unless B alone
 is larger), so their memory does not grow with |A| * |B|.
 
-Nothing here keeps state between calls: a caller that needs N(c) twice, as a
-verify trial does, computes it once with :func:`representation_counts` and
-hands it to the core of :func:`count_layers`.
+Nothing here keeps state between calls. A caller that wants the naive count
+and N(c) for one pair, as a verify trial does, walks the pair sums once with
+:func:`naive_and_representation_counts`: each block goes through the naive
+membership gather and through the tally, each route keeping its own
+mechanism. N(c) then feeds :func:`count_layers_from_counts`, the core of
+:func:`count_layers`, and :func:`sizes_at_least`, which reads the layer
+sizes off it.
 """
 
 from __future__ import annotations
@@ -69,6 +73,14 @@ def _pair_sums(a_set: ResidueSet, b_set: ResidueSet) -> Iterator[np.ndarray]:
         yield np.add.outer(a_idx[start:start + rows], b_idx)
 
 
+def _doubled_indicator(b_set: ResidueSet, p: int) -> np.ndarray:
+    """Entry c, for c < 2p, is true exactly when c mod p is in B."""
+    in_b = np.zeros(2 * p, dtype=bool)
+    in_b[_index(b_set)] = True
+    in_b[p:] = in_b[:p]
+    return in_b
+
+
 def count_naive(a_set: ResidueSet, b_set: ResidueSet) -> int:
     """Definitional enumeration of all |A| * |B| pairs. The reference the fast paths answer to.
 
@@ -77,10 +89,7 @@ def count_naive(a_set: ResidueSet, b_set: ResidueSet) -> int:
     :func:`_pair_sums` at a time. The gathers run in numpy, but the work is
     still one lookup per pair.
     """
-    p = common_modulus(a_set, b_set)
-    in_b = np.zeros(2 * p, dtype=bool)
-    in_b[_index(b_set)] = True
-    in_b[p:] = in_b[:p]
+    in_b = _doubled_indicator(b_set, common_modulus(a_set, b_set))
     return sum(int(np.count_nonzero(in_b[block])) for block in _pair_sums(a_set, b_set))
 
 
@@ -131,6 +140,26 @@ def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
     return doubled[:p] + doubled[p:]  # c and c + p are the same residue
 
 
+def naive_and_representation_counts(
+    a_set: ResidueSet, b_set: ResidueSet
+) -> tuple[int, np.ndarray]:
+    """(:func:`count_naive`, :func:`representation_counts`) from one walk of the pair sums.
+
+    Each block of :func:`_pair_sums` goes through both routes in turn: the
+    naive gather against the doubled indicator of B, one membership lookup
+    per pair, and the ``bincount`` tally of the sums. Neither result is
+    derived from the other.
+    """
+    p = common_modulus(a_set, b_set)
+    in_b = _doubled_indicator(b_set, p)
+    doubled = np.zeros(2 * p, dtype=np.int64)
+    hits = 0
+    for block in _pair_sums(a_set, b_set):
+        hits += int(np.count_nonzero(in_b[block]))
+        doubled += np.bincount(block.ravel(), minlength=2 * p)
+    return hits, doubled[:p] + doubled[p:]
+
+
 @dataclass(frozen=True)
 class LayerDecomposition:
     """The nested layer sets S_1 >= S_2 >= ... of a pair (A, B).
@@ -159,19 +188,23 @@ def layers(a_set: ResidueSet, b_set: ResidueSet) -> LayerDecomposition:
     return LayerDecomposition(a_set.modulus, built, tuple(int(c) for c in counts))
 
 
-def _at_least(multiplicity: np.ndarray) -> np.ndarray:
-    """Entry i-1 counts the entries of ``multiplicity`` that are >= i, for i = 1..max."""
+def sizes_at_least(multiplicity: np.ndarray) -> np.ndarray:
+    """Entry i-1 counts the entries of ``multiplicity`` that are >= i, for i = 1..max.
+
+    On the representation counts N of (A, B) these are the layer sizes
+    |S_1|, |S_2|, ...; on N restricted to B they are the |S_i n B|.
+    """
     return np.cumsum(np.bincount(multiplicity)[::-1])[::-1][1:]
 
 
 def layer_sizes(a_set: ResidueSet, b_set: ResidueSet) -> list[int]:
     """|S_1|, |S_2|, ... without materialising the sets."""
-    return [int(x) for x in _at_least(representation_counts(a_set, b_set))]
+    return [int(x) for x in sizes_at_least(representation_counts(a_set, b_set))]
 
 
-def _count_layers(counts: np.ndarray, b_set: ResidueSet) -> int:
+def count_layers_from_counts(counts: np.ndarray, b_set: ResidueSet) -> int:
     """Sum of |S_i n B|, from the representation counts N of (A, B)."""
-    return int(_at_least(counts[_index(b_set)]).sum())  # entry i-1 is |S_i n B|
+    return int(sizes_at_least(counts[_index(b_set)]).sum())  # entry i-1 is |S_i n B|
 
 
 def count_layers(a_set: ResidueSet, b_set: ResidueSet) -> int:
@@ -183,7 +216,7 @@ def count_layers(a_set: ResidueSet, b_set: ResidueSet) -> int:
     sets themselves are wanted, and the two views are pinned to each other
     by tests.
     """
-    return _count_layers(representation_counts(a_set, b_set), b_set)
+    return count_layers_from_counts(representation_counts(a_set, b_set), b_set)
 
 
 def count_convolution(a_set: ResidueSet, b_set: ResidueSet) -> int:

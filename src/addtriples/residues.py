@@ -5,7 +5,8 @@ shift, intersection size and sumset all reduce to word-parallel integer
 operations, which stay cheap even for moduli in the thousands.
 :func:`bit_positions` and :func:`pack_indicator` are the only conversions
 between a bitmask and its residues; a set keeps the array form of the
-first, built once, as the one fast path to its members. Moduli are odd and
+first, built once, as the one fast path to its members; a set built from a
+bool indicator takes that array from the indicator instead. Moduli are odd and
 at least 3. Empty sets are legal here; cardinality constraints such as
 1 <= s, t <= p-1 are enforced only at the :class:`Params` boundary.
 """
@@ -134,6 +135,20 @@ class ResidueSet:
         flags = np.zeros(max(residues, default=-1) + 1, dtype=bool)
         flags[residues] = True
         return cls(p, pack_indicator(flags))
+
+    @classmethod
+    def _from_indicator(cls, modulus: int, flags: np.ndarray) -> "ResidueSet":
+        """The set whose members are the true entries of the bool array ``flags``.
+
+        The bitmask is packed from ``flags`` and the member array is read off
+        it too, so the set is never unpacked. Private because it trusts
+        ``flags`` to be a bool array of length at most ``modulus``.
+        """
+        members = np.flatnonzero(flags).astype(np.int64, copy=False)
+        members.flags.writeable = False
+        made = cls(modulus, pack_indicator(flags))
+        made.__dict__["_member_array"] = members  # the slot the cached property fills
+        return made
 
     @cached_property
     def _member_array(self) -> np.ndarray:

@@ -14,7 +14,14 @@ The random stream is fully determined by the seed and the order of the
 moduli, so a failure report names a reproducible witness. A trial draws s
 and t with ``rng.randint``, then A and B from exactly the words
 ``rng.sample(range(p), k)`` would read (see :func:`_random_set`), so a seed
-replays the same trials as when the sets were drawn by ``rng.sample``.
+replays the same trials as when the sets were drawn by ``rng.sample``. Each
+drawn set takes its member array from its draw, so it is never unpacked.
+
+A trial walks its pair sums once, in
+:func:`counting.naive_and_representation_counts`, which gives both the naive
+count and the representation counts N(c); the layer count and the layer
+inequalities read N(c), and the shift and convolution counts go their own
+ways.
 """
 
 from __future__ import annotations
@@ -28,13 +35,13 @@ from math import ceil, log
 import numpy as np
 
 from . import bounds, counting
-from .residues import DomainError, ResidueSet, check_modulus, is_prime, pack_indicator
+from .residues import DomainError, ResidueSet, check_modulus, is_prime
 
 PRIME_ONLY_CHECKS = ("sumset-inequality", "layer-inequalities", "bound-sandwich")
 
 # A trial sums all s·t pairs, so its cost grows as p^2: the costliest trial
-# at this cap (s = t = p - 1, p = 32749) took 4.7 s and 47 MB peak RSS on a
-# 2-vCPU Xeon VM, and each doubling of p multiplies it by about 4.
+# at this cap (s = t = p - 1, p = 32749) took 2.4-2.5 s and 46 MB peak RSS
+# on a 2-vCPU Xeon VM, and each doubling of p multiplies it by about 4.
 _MAX_MODULUS = 2**15
 
 
@@ -85,7 +92,8 @@ def _random_set(rng: random.Random, p: int, size: int) -> ResidueSet:
     takes it, one ``getrandbits(m.bit_length())`` until it is below m. So it
     reads the words ``rng.sample`` would read, in the same order, and every
     seed replays the same sets and leaves the generator in the same state.
-    The draws are packed straight into a bitmask.
+    The draws land in a bool indicator, which gives the set both its bitmask
+    and its member array, so the set is never unpacked.
     """
     getrandbits = rng.getrandbits
     setsize = 21
@@ -117,7 +125,7 @@ def _random_set(rng: random.Random, p: int, size: int) -> ResidueSet:
                 add(j)
         flags = np.zeros(p, dtype=bool)
         flags[list(chosen)] = True
-    return ResidueSet(p, pack_indicator(flags))
+    return ResidueSet._from_indicator(p, flags)
 
 
 def _random_pair(rng: random.Random, p: int) -> tuple[ResidueSet, ResidueSet]:
@@ -145,11 +153,10 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
         a, b = _random_pair(rng, p)
         s, t = a.cardinality, b.cardinality
 
-        r = counting.count_naive(a, b)
-        counts = counting.representation_counts(a, b)  # N(c), once per trial
+        r, counts = counting.naive_and_representation_counts(a, b)  # one walk of the pair sums
         others = {
             "shift": counting.count_shift(a, b),
-            "layers": counting._count_layers(counts, b),
+            "layers": counting.count_layers_from_counts(counts, b),
             "convolution": counting.count_convolution(a, b),
         }
         tally["four-way-agreement"] += 1
@@ -172,7 +179,7 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
             fail(trial, "sumset-inequality", f"|A+B|={cd.lhs} < {cd.rhs}", a, b)
 
         tally["layer-inequalities"] += 1
-        lhs, rhs = bounds._pollard_sides(p, s, t, counting._at_least(counts))
+        lhs, rhs = bounds.pollard_sides(p, s, t, counting.sizes_at_least(counts))
         failing = np.flatnonzero(lhs < rhs)
         if failing.size:
             j = int(failing[0])

@@ -278,6 +278,8 @@ def test_pair_blocks_count_every_pair_once(monkeypatch, p, a_elems, b_elems):
         counts = counting.representation_counts(a, b)
         assert counts.tolist() == expected_counts
         assert counts.sum() == a.cardinality * b.cardinality
+        naive, shared_counts = counting.naive_and_representation_counts(a, b)
+        assert (naive, shared_counts.tolist()) == (expected_count, expected_counts), block
 
 
 def test_pair_routes_memory_is_bounded():
@@ -286,7 +288,8 @@ def test_pair_routes_memory_is_bounded():
     a, b = make_set(p, range(p - 1)), make_set(p, range(1, p))
     a.elements(), b.elements()  # the member caches are not what is measured
     results = {}
-    for route in (counting.count_naive, counting.count_layers, counting.layer_sizes):
+    for route in (counting.count_naive, counting.count_layers, counting.layer_sizes,
+                  counting.naive_and_representation_counts):
         tracemalloc.start()
         try:
             results[route.__name__] = route(a, b)
@@ -296,6 +299,9 @@ def test_pair_routes_memory_is_bounded():
         assert peak < 32 * 2**20, (route.__name__, peak)
     assert results["count_naive"] == results["count_layers"] == counting.count_shift(a, b)
     assert sum(results["layer_sizes"]) == (p - 1) ** 2
+    naive, counts = results["naive_and_representation_counts"]
+    assert naive == results["count_naive"]
+    assert counts.tolist() == counting.representation_counts(a, b).tolist()
 
 
 class TestCountInterval:

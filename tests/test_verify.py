@@ -1,10 +1,11 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from addtriples import cli, counting, verify
-from addtriples.residues import DomainError
+from addtriples.residues import DomainError, _position_array
 from addtriples.verify import PRIME_ONLY_CHECKS, _random_pair, _random_set, run_verification
 
 from oracles import brute_count, brute_multiplicities, sample_indicator
@@ -46,19 +47,22 @@ def test_zero_trials_vacuous_pass():
     assert report.first_violation() is None
 
 
-def test_representation_counts_computed_once_per_trial(monkeypatch):
-    # count_layers and the Pollard sweep both need N(c) for the same pair
-    computed = []
-    original = counting.representation_counts
+def test_pair_sums_walked_once_per_trial(monkeypatch):
+    # the naive count, count_layers and the Pollard sweep all read one walk of
+    # the pair sums, made on the very pair the trial drew
+    walked = []
+    original = counting._pair_sums
 
     def tally(a_set, b_set):
-        computed.append((a_set, b_set))
+        walked.append((a_set, b_set))
         return original(a_set, b_set)
 
-    monkeypatch.setattr(counting, "representation_counts", tally)
-    report = run_verification([7, 11, 9], 40, seed=3)
+    monkeypatch.setattr(counting, "_pair_sums", tally)
+    moduli, trials, seed = [7, 11, 9], 40, 3
+    report = run_verification(moduli, trials, seed)
     assert report.ok
-    assert len(computed) == 3 * 40
+    rng = random.Random(seed)
+    assert walked == [_random_pair(rng, p) for p in moduli for _ in range(trials)]
 
 
 def test_draw_stream_is_pinned():
@@ -85,8 +89,13 @@ def test_random_set_reads_the_words_sample_reads(p):
     for seed in range(3):
         drawn, oracle = random.Random(seed), random.Random(seed)
         for size in sorted(size for size in sizes if 1 <= size < p):
-            assert _random_set(drawn, p, size).bits == sample_indicator(oracle, p, size)
+            made = _random_set(drawn, p, size)
+            assert made.bits == sample_indicator(oracle, p, size)
             assert drawn.getstate() == oracle.getstate(), (seed, size)
+            # the members come from the draw's indicator, never from unpacking the bits
+            members = made.__dict__["_member_array"]
+            assert members.tolist() == _position_array(made.bits).tolist(), (seed, size)
+            assert members.dtype == np.int64 and not members.flags.writeable
 
 
 def test_moduli_above_the_cap_are_refused_before_any_draw(monkeypatch):
@@ -127,9 +136,10 @@ def test_layer_inequality_failure_names_the_first_failing_j(monkeypatch, capsys)
     p, trials, seed = 7, 30, 5
     # the layer sizes |S_1|, |S_2|, ... are read off the length-p vector N(c);
     # keep only |S_1|, so every deeper layer looks empty
-    true_at_least = counting._at_least
+    true_at_least = counting.sizes_at_least
     monkeypatch.setattr(
-        counting, "_at_least", lambda m: true_at_least(m)[:1] if m.size == p else true_at_least(m)
+        counting, "sizes_at_least",
+        lambda m: true_at_least(m)[:1] if m.size == p else true_at_least(m),
     )
     failing = {}
     for trial, (a, b) in enumerate(_replayed_pairs(p, trials, seed)):
