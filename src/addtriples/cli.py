@@ -130,6 +130,7 @@ def build_parser() -> _Parser:
 
     for command in sub.choices.values():  # main reports stray arguments with their own usage
         command.set_defaults(command_parser=command)
+    parser.commands = sub.choices  # name -> subcommand parser, for main's direct dispatch
     return parser
 
 
@@ -375,12 +376,30 @@ def render_csv(rows: list[dict]) -> str:
 _parser: _Parser | None = None
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, list[str]]:
+    """``_parser.parse_known_args(argv)``, in one argparse pass when argv[0] names a command.
+
+    The top-level parser would hand everything after the command name,
+    unchanged, to that command's parser and copy its namespace onto one
+    holding ``command``; here that parser is called directly. Any other argv
+    (empty, ``-h``, an unknown command) goes through the top-level parser,
+    so its usage, help and errors are its own.
+    """
     global _parser
     if _parser is None:  # built on first use, then shared by every call in the process
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_known_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    args.command = argv[0]
+    return args, extras
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args, extras = _parser.parse_known_args(argv)
+        args, extras = _parse(argv)
         if extras:  # blame the subcommand, so its own usage line is printed
             args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # usage error or --help; keep main() total

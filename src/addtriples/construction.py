@@ -23,9 +23,14 @@ compared from the largest value down; on consecutive values that is the k
 largest elements, one element w, then the smallest rest, with k found by
 one bisect over those closed forms, so choosing costs O(log s) arithmetic
 and writing the chosen values costs one dict entry each (see
-:func:`select_multisubset`). The selection rule and the residue
-tie-breaking here are deterministic, so a given (p, s, t, r) always yields
-the same witness set A.
+:func:`select_multisubset`). The k largest, w and the smallest rest hold
+disjoint values, and each run of positions lies on at most two runs of
+residues, so :func:`construct` realises A as O(1) residue ranges set by
+slice in one bool indicator, which gives A its bitmask and its member
+array; it walks no value. :func:`realize_set` takes any selection dict,
+checks each count and lists its residues into the same indicator core. The
+selection rule and the residue tie-breaking here are deterministic, so a
+given (p, s, t, r) always yields the same witness set A.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .residues import (
     VerificationError,
     check_modulus,
     interval_set,
-    pack_indicator,
 )
 
 
@@ -214,11 +218,14 @@ def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
     r = operator.index(r)
     if not 1 <= s <= profile.p:
         raise DomainError(f"selection size must satisfy 1 <= s <= p, got s={s}")
-    return _select(profile.p, profile.t, s, r)
+    return _select(profile.p, profile.t, s, r)[0]
 
 
-def _select(p: int, t: int, s: int, r: int) -> dict[int, int]:
+def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, int, int | None]]:
     # The ascending profile: run copies of F, two of each value in (F, t), one t.
+    # Returns the selection and its runs (k, n, w): the k largest elements, the
+    # n smallest, and w, the one element between them, or None when w is the
+    # next smallest element and so is counted in n.
     floor, run = _floor_run(p, t)
     if run + 2 * (t - floor) - 1 != p:
         raise VerificationError(f"profile mass {run + 2 * (t - floor) - 1} != p = {p}")
@@ -253,32 +260,35 @@ def _select(p: int, t: int, s: int, r: int) -> dict[int, int]:
 
     def take(lo: int, hi: int) -> tuple[int, int]:
         # Add positions [lo, hi) as one run, largest value first: the top value,
-        # two copies of each value strictly between, the bottom value. Counts
-        # add to any already there, as w may equal the top of the smallest rest.
-        # Returns the run's (size, sum).
+        # two copies of each value strictly between, the bottom value. The k
+        # largest, w and the n smallest hold disjoint values, so no count is
+        # added to. Returns the run's (size, sum).
         if lo >= hi:
             return 0, 0
         top, bottom = value(hi - 1), value(lo)
         if top == bottom:
-            selection[top] = selection.get(top, 0) + hi - lo
+            selection[top] = hi - lo
             return hi - lo, top * (hi - lo)
         c_top, c_bottom = copies(top, lo, hi), copies(bottom, lo, hi)
-        selection[top] = selection.get(top, 0) + c_top
+        selection[top] = c_top
         selection.update(dict.fromkeys(range(top - 1, bottom, -1), 2))
-        selection[bottom] = selection.get(bottom, 0) + c_bottom
+        selection[bottom] = c_bottom
         between = top - bottom - 1
         return (c_top + 2 * between + c_bottom,
                 top * c_top + (top + bottom) * between + bottom * c_bottom)
 
     size, weight = take(p - k, p)  # the k largest; with k = s they may reach the floor run
-    if k < s:  # w: the (s - k)-th smallest value plus the remainder, then the smallest rest
-        w = value(s - k - 1) + r - split(k)
-        selection[w] = selection.get(w, 0) + 1
-        rest = take(0, s - k - 1)
-        size, weight = size + 1 + rest[0], weight + w + rest[1]
+    n, w, short = s - k, None, r - split(k)
+    if short:  # so k < s; w is the (s - k)-th smallest value plus the shortfall
+        n -= 1
+        w = value(n) + short
+        selection[w] = 1  # below the k largest, above the n smallest
+        size, weight = size + 1, weight + w
+    rest = take(0, n)  # the n smallest
+    size, weight = size + rest[0], weight + rest[1]
     if (size, weight) != (s, r):
         raise VerificationError(f"selection has (size, sum) {(size, weight)}, wanted {(s, r)}")
-    return selection
+    return selection, (k, n, w)
 
 
 def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
@@ -290,17 +300,21 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
     overdrawn value raises :class:`DomainError`. Tie-breaking: value t comes
     from a = 0; an intermediate value v comes first from the positive
     representative a = t - v, then from p - (t - v); the floor value takes
-    residues from its canonical run in increasing order (starting at t when
-    the floor is 0, at p - t otherwise). The residues and the floor run go
-    into one bool indicator, packed into the bitmask once.
+    residues from its canonical run in increasing order, starting at t - F
+    (t when the floor F is 0, p - t otherwise). The residues and the floor
+    run are set in one bool indicator, the same core that :func:`construct`
+    sets its ranges in, which gives the set its bitmask and its member array.
+
+    The ``profile`` parameter stays, although only ``profile.p`` and
+    ``profile.t`` are read: callers pass the profile they drew the selection
+    from with :func:`select_multisubset`, which takes it the same way, and
+    taking (p, t) instead would change both public signatures for no gain
+    (:func:`construct` calls neither and builds no profile).
     """
-    return _realize(selection, profile.p, profile.t)
-
-
-def _realize(selection: dict[int, int], p: int, t: int) -> ResidueSet:
+    p, t = profile.p, profile.t
     floor, run = _floor_run(p, t)
     residues = []
-    floor_slice = slice(0, 0)  # the residues of the floor run
+    floor_range = (0, 0)
     for v, c in selection.items():
         c = operator.index(c)
         have = 1 if v == t else run if v == floor else 2 if floor < v < t else 0
@@ -315,12 +329,51 @@ def _realize(selection: dict[int, int], p: int, t: int) -> ResidueSet:
             if c == 2:
                 residues.append(p - (t - v))
         else:
-            start = t if floor == 0 else p - t
-            floor_slice = slice(start, start + c)
-    flags = np.zeros(max(floor_slice.stop, max(residues, default=-1) + 1), dtype=bool)
+            floor_range = (t - floor, t - floor + c)
+    return _indicator_set(p, [floor_range], residues)
+
+
+def _realize_runs(p: int, t: int, k: int, n: int, w: int | None) -> ResidueSet:
+    """The set :func:`realize_set` gives for the selection of runs (k, n, w), in O(1) ranges.
+
+    Residue a has overlap max(t - |a|, F), |a| its symmetric magnitude, so
+    the tie-break puts the values on the residues in order: t on 0, the
+    first copies of t - 1, ..., F + 1 on 1, ..., t - F - 1, the floor run on
+    t - F, ..., p - t + F, and the second copies of F + 1, ..., t - 1 on
+    p - t + F + 1, ..., p - 1. So the k largest are the residues nearest 0
+    on both sides, one more on the first-copy side when k is even, reaching
+    into the floor run once k > 2(t - F) - 1; the n smallest are the floor
+    run, or its first n residues, widened on both sides, one more on the
+    first-copy side when n - run is odd; w alone is t - w. A value taken
+    once gets its first copy, as :func:`realize_set` gives it.
+    """
+    floor, run = _floor_run(p, t)
+    edge = t - floor  # the first residue of the floor run
+    ranges = []
+    if k:
+        ranges.append((0, max(k // 2, k - edge) + 1))
+        ranges.append((p - min((k - 1) // 2, edge - 1), p))
+    if n:
+        above = n - run  # elements of the n smallest above the floor
+        ranges.append((edge, edge + n) if above <= 0
+                      else (edge - (above + 1) // 2, p - edge + 1 + above // 2))
+    return _indicator_set(p, ranges, [] if w is None else [t - w])
+
+
+def _indicator_set(p: int, ranges: list[tuple[int, int]], residues: list[int]) -> ResidueSet:
+    """The set of the residues in the half-open ``ranges`` and in ``residues``, all in [0, p).
+
+    They are set in one bool indicator, no longer than the largest member
+    needs, by one slice per range and one gather for the residues; the set
+    takes its bitmask and its member array from that indicator.
+    """
+    size = max(max((stop for start, stop in ranges if start < stop), default=0),
+               max(residues, default=-1) + 1)
+    flags = np.zeros(size, dtype=bool)
     flags[residues] = True
-    flags[floor_slice] = True
-    return ResidueSet(p, pack_indicator(flags))
+    for start, stop in ranges:
+        flags[start:stop] = True
+    return ResidueSet._from_indicator(p, flags)
 
 
 @dataclass(frozen=True)
@@ -341,17 +394,16 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     """Build A with r(A, B, B) = r for B = {0..t-1}; works for every odd p.
 
     The selection and its realisation come from (p, t) in closed form, with
-    no profile built (see :func:`select_multisubset`). The achieved count is recomputed from the residues of A by
+    no profile built: the selection's runs are set as residue ranges (see
+    :func:`select_multisubset` and the module docstring). The achieved
+    count is recomputed from the residues of A by
     :func:`counting.count_interval`, in O(s), before the witness is
     returned; a mismatch would be a bug and raises :class:`VerificationError`.
     """
     params = Params(p, s, t)
     r = operator.index(r)
-    r1, r2 = extreme_sums(p, s, t)
-    if not r1 <= r <= r2:
-        raise UnattainableTargetError(r, r1, r2)
-    selection = _select(params.p, params.t, params.s, r)
-    a_set = _realize(selection, params.p, params.t)
+    selection, (k, n, w) = _select(params.p, params.t, params.s, r)
+    a_set = _realize_runs(params.p, params.t, k, n, w)
     b_set = interval_set(p, t)
     if a_set.cardinality != s:
         raise VerificationError(f"witness has {a_set.cardinality} elements, wanted {s}")

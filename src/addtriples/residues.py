@@ -87,8 +87,8 @@ def _position_array(bits: int) -> np.ndarray:
 
 
 def bit_positions(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of a nonnegative int, ascending."""
-    return tuple(_position_array(bits).tolist())
+    """The positions of the set bits of a nonnegative int, ascending; () for 0, without numpy."""
+    return tuple(_position_array(bits).tolist()) if bits else ()
 
 
 def pack_indicator(flags: np.ndarray) -> int:

@@ -28,7 +28,9 @@ such pass per (p, t) for all its sizes s.
 
 Every mode hands its attained values to the report as one bitmask, and the
 report reads the attained values, the gaps inside the closed-form interval
-[f, g] and any exceptional values outside it off that bitmask. For prime p
+[f, g] and any exceptional values outside it off that bitmask. The three
+(p, s, t) modes take f, g and primality from one ``bounds_for`` call, which
+validates the instance once. For prime p
 there are provably no gaps and no exceptions; for composite odd p exceptions
 exist (the scanner below hunts for them). An exhaustive witness takes the
 lex-first t-set B containing 0 that attains the value, then the lex-first
@@ -56,7 +58,14 @@ from math import comb, lgamma, log, prod
 import numpy as np
 
 from . import counting
-from .bounds import lower_bound, schur_lower_bound, schur_upper_bound, upper_bound
+from .bounds import (
+    BoundsResult,
+    bounds_for,
+    lower_bound,
+    schur_lower_bound,
+    schur_upper_bound,
+    upper_bound,
+)
 from .construction import build_shift_profile, shift_overlap
 from .residues import (
     MAX_MODULUS,
@@ -154,27 +163,26 @@ def _between(f: int, g: int) -> int:
 
 
 def _make_report(
-    params: Params,
+    interval: BoundsResult,
     mode: str,
     attained: int,
-    f: int,
-    g: int,
     witnesses: dict[int, Witness] | None,
     started: float,
 ) -> SpectrumReport:
-    """The report for the values whose bits are set in ``attained``."""
+    """The report for the values whose bits are set in ``attained``, against [f, g]."""
+    f, g = interval.f, interval.g
     inside = _between(f, g)
     return SpectrumReport(
-        p=params.p,
-        s=params.s,
-        t=params.t,
+        p=interval.p,
+        s=interval.s,
+        t=interval.t,
         mode=mode,
         attained=bit_positions(attained),
         f=f,
         g=g,
         gaps=bit_positions(inside & ~attained),
         exceptions=bit_positions(attained & ~inside),
-        prime=params.prime,
+        prime=interval.guaranteed,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,
     )
@@ -263,13 +271,12 @@ def spectrum_exhaustive(
     ``budget``, which also bounds the t * C(p,t) overlap cells it computes.
     Witnesses follow the module's rule and are recounted by ``count_naive``.
     """
-    params = Params(p, s, t)
+    interval = bounds_for(p, s, t)
     _check_budget(budget, (p, s), (p, t))
     started = time.perf_counter()
     attained, witnesses = _exhaustive_pass(p, t, {s: -1 if want_witnesses else 0})
     return _make_report(
-        params, "exhaustive", attained[s],
-        lower_bound(p, s, t), upper_bound(p, s, t),
+        interval, "exhaustive", attained[s],
         witnesses[s] if want_witnesses else None, started,
     )
 
@@ -290,15 +297,14 @@ def spectrum_fixed_interval(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> SpectrumReport:
     """All values of r(A, B, B) over |A| = s with B frozen to {0..t-1}."""
-    params = Params(p, s, t)
+    interval = bounds_for(p, s, t)
     _check_budget(budget, (p, s))
     started = time.perf_counter()
     values = [shift_overlap(p, t, a) for a in range(p)]
     first = _first_a_per_value(p, s, lambda a_tuple: sum(values[a] for a in a_tuple))
     witnesses = {r: (a_tuple, tuple(range(t))) for r, a_tuple in first.items()}
     return _make_report(
-        params, "fixed-interval-B", sum(1 << r for r in first),
-        lower_bound(p, s, t), upper_bound(p, s, t),
+        interval, "fixed-interval-B", sum(1 << r for r in first),
         witnesses if want_witnesses else None, started,
     )
 
@@ -355,17 +361,13 @@ def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
     a (p - s)-selection summing to t^2 minus A's: the DP runs only to
     min(s, p - s) and mirrors the values when that is p - s.
     """
-    params = Params(p, s, t)
+    interval = bounds_for(p, s, t)
     started = time.perf_counter()
     size = min(s, p - s)
     attained = _attainable_selection_sums(build_shift_profile(p, t).counts, (size,))[size]
     if size < s:  # bit x moves to bit t^2 - x
         attained = int(f"{attained:b}"[::-1], 2) << (t * t + 1 - attained.bit_length())
-    return _make_report(
-        params, "multiset-dp", attained,
-        lower_bound(p, s, t), upper_bound(p, s, t),
-        None, started,
-    )
+    return _make_report(interval, "multiset-dp", attained, None, started)
 
 
 def schur_spectrum(
@@ -377,6 +379,9 @@ def schur_spectrum(
     """All values of the Schur count r(A, A, A) over |A| = s."""
     params = Params(p, s, s)
     _check_budget(budget, (p, s))
+    interval = BoundsResult(
+        params.p, params.s, params.s, schur_lower_bound(p, s), schur_upper_bound(p, s), params.prime
+    )
     started = time.perf_counter()
 
     def schur_count(a_tuple: tuple[int, ...]) -> int:
@@ -386,8 +391,7 @@ def schur_spectrum(
     first = _first_a_per_value(p, s, schur_count)
     witnesses = {r: (a_tuple, a_tuple) for r, a_tuple in first.items()}
     return _make_report(
-        params, "schur-exhaustive", sum(1 << r for r in first),
-        schur_lower_bound(p, s), schur_upper_bound(p, s),
+        interval, "schur-exhaustive", sum(1 << r for r in first),
         witnesses if want_witnesses else None, started,
     )
 

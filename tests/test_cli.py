@@ -477,3 +477,36 @@ def test_main_is_total(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert out.getvalue()
+
+
+def _parsed(parse, argv):
+    """(namespace, extras, SystemExit code, stdout, stderr) of one parse of ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    result, code = (None, None), None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return (*result, code, out.getvalue(), err.getvalue())
+
+
+# main parses a call whose argv[0] names a command with that command's parser
+# alone; it must see what the top-level parser would have handed on.
+@settings(deadline=None, max_examples=300)
+@given(_ARGV)
+@example(["construct", "-h"])
+@example(["construct", "--"])
+@example(["construct", "--", "--p", "7"])
+@example(["construct", "--p=7", "--s", "3", "--t", "3", "--r", "4"])
+@example(["construct", "--he"])
+@example(["construct", "--p", "7", "--s", "3", "--t", "3", "--r", "4", "stray", "--x"])
+@example(["verify", "--p", "5", "--trials", "1", "-x", "--", "y"])
+@example(["--", "construct"])
+@example(["-h", "construct"])
+@example([])
+@example(["constr"])  # a prefix of a command name is no command
+def test_direct_dispatch_parses_as_the_top_level_parser(argv):
+    direct = _parsed(cli._parse, argv)  # builds the shared parser if no call has yet
+    top_level = _parsed(cli._parser.parse_known_args, argv)
+    assert direct == top_level, argv

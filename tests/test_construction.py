@@ -1,4 +1,7 @@
+import random
+import tracemalloc
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +9,7 @@ from hypothesis import given, strategies as st
 from addtriples import bounds, counting
 from addtriples.construction import (
     ShiftProfile,
+    _select,
     UnattainableTargetError,
     build_shift_profile,
     construct,
@@ -260,6 +264,7 @@ class TestRealizeSet:
             realize_set({5: 2}, build_shift_profile(11, 5))
 
     def test_matches_element_list_oracle_for_every_target_to_p13(self):
+        # realize_set and construct's run realisation (s < p) against the oracle;
         # t runs on both sides of 2t = p, so the floor run starts at t and at p - t
         for p in range(3, 14, 2):
             for t in range(1, p):
@@ -270,6 +275,8 @@ class TestRealizeSet:
                         selection = select_multisubset(profile, s, r)
                         expected = realized_elements(selection, p, t)
                         assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
+                        if s < p:
+                            assert construct(p, s, t, r).a_set.elements() == expected, (p, s, t, r)
         # and at a large modulus, at r1, the midpoint and r2
         p = 10**5 + 1
         for s, t in [(50000, 50000), (20000, 30000), (50000, 50001), (70000, 80000), (1, 99999)]:
@@ -279,6 +286,36 @@ class TestRealizeSet:
                 selection = select_multisubset(profile, s, r)
                 expected = realized_elements(selection, p, t)
                 assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
+                assert construct(p, s, t, r).a_set.elements() == expected, (p, s, t, r)
+        # and at p = 2^20 + 1, seeded (s, t, r) that meet every run shape in both floor regimes
+        p = 2**20 + 1
+        rng = random.Random(20)
+        shapes = set()
+        for t in (rng.randrange(2, p // 2), rng.randrange(p // 2 + 1, p - 1)):  # floor 0, 2t - p
+            profile = build_shift_profile(p, t)
+            floor, run = profile.floor_value, profile.counts[profile.floor_value]
+            prefix = list(accumulate(profile.ascending(), initial=0))
+            for s in (rng.randrange(2, run), rng.randrange(run, p - 1)):
+                def split(k):  # the k largest plus the s - k smallest
+                    return prefix[p] - prefix[p - k] + prefix[s - k]
+
+                # the k largest above the floor run; the s - k smallest past it when s > run
+                k = rng.randrange(1, min(s, p - run, max(2, s - run)))
+                between = (split(k) + split(k + 1)) // 2
+                for r in sorted({split(0), split(s), split(k), split(k + 1), between}):
+                    selection = select_multisubset(profile, s, r)
+                    expected = realized_elements(selection, p, t)
+                    assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
+                    assert construct(p, s, t, r).a_set.elements() == expected, (p, s, t, r)
+                    k_run, n, w = _select(p, t, s, r)[1]
+                    top = n and (floor if n <= run else floor + (n - run + 1) // 2)
+                    shapes.add((floor > 0, "k = 0" if k_run == 0 else "k = s" if k_run == s
+                                else "w alone" if w is not None
+                                else "w, two copies atop the rest" if selection[top] == 2
+                                else "w in the floor run" if top == floor else "w, one copy"))
+        for regime in (False, True):
+            for shape in ("k = 0", "k = s", "w alone", "w, two copies atop the rest"):
+                assert (regime, shape) in shapes, (regime, shape)
 
     @given(construction_instances())
     def test_realised_overlaps_match_selection(self, args):
@@ -325,6 +362,29 @@ class TestConstruct:
         w = construct(p, s, t, r)
         assert w.a_set.cardinality == s
         assert brute_count(p, list(w.a_set), list(w.b_set)) == r
+
+    def test_realises_its_runs_without_a_per_value_pass(self):
+        # At p = 2^20 + 1 and s = t = 2^19 the selection holds 2^18 + 1 values.
+        # construct sets its runs as O(1) residue ranges; realize_set checks each
+        # value and lists its residues. Both build the same selection dict, and
+        # construct also recounts its witness, so its traced peak reaching 90% of
+        # select_multisubset + realize_set's means a per-value pass is back (it
+        # was 100% with one, 78% without, on CPython 3.11).
+        p, s, t = 2**20 + 1, 2**19, 2**19
+        profile = build_shift_profile(p, t)
+        r = extreme_sums(p, s, t)[1]
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_value = traced_peak(lambda: realize_set(select_multisubset(profile, s, r), profile))
+        runs = traced_peak(lambda: construct(p, s, t, r))
+        assert runs < 0.9 * per_value, (runs, per_value)
 
     def test_recount_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(counting, "count_interval", lambda a, b: -1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from addtriples import counting
+from addtriples import counting, residues
 from addtriples.counting import layers
 from addtriples.residues import (
     DomainError,
@@ -12,6 +12,7 @@ from addtriples.residues import (
     InvalidModulusError,
     Params,
     ResidueSet,
+    bit_positions,
     empty_set,
     full_set,
     interval_set,
@@ -194,6 +195,12 @@ class TestHelpers:
     def test_primes(self):
         assert [p for p in range(50) if is_prime(p)] == primes_up_to(49)
         assert not is_prime(1) and is_prime(2) and not is_prime(2**20)
+
+    def test_bit_positions_of_zero_skips_numpy(self, monkeypatch):
+        # each spectrum report with no gaps and no exceptions lists two empty bitmasks
+        assert bit_positions(0b101001) == (0, 3, 5)
+        monkeypatch.setattr(residues, "_position_array", None)
+        assert bit_positions(0) == ()
 
 
 class TestParams:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from addtriples import counting, spectrum
+from addtriples import counting, residues, spectrum
 from addtriples.construction import build_shift_profile
 from addtriples.residues import DomainError, VerificationError, bit_positions, make_set
 from addtriples.spectrum import (
@@ -287,6 +287,17 @@ class TestReports:
         for p in range(3, 14, 2):
             for s in range(1, p):
                 check(schur_spectrum(p, s))
+
+    def test_each_report_validates_its_instance_once(self, monkeypatch):
+        # f, g and primality come from one bounds_for, so one Params and one primality test
+        tests = []
+        real = residues.is_prime
+        monkeypatch.setattr(residues, "is_prime", lambda n: tests.append(n) or real(n))
+        for engine in (spectrum_exhaustive, spectrum_fixed_interval, spectrum_multiset_dp):
+            tests.clear()
+            report = engine(11, 4, 5)
+            assert tests == [11], engine
+            assert (report.f, report.g, report.prime) == (2, 16, True), engine
 
     def test_modes_labelled(self):
         assert spectrum_exhaustive(5, 2, 2).mode == "exhaustive"
