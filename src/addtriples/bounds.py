@@ -18,14 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .counting import layer_sizes
-from .residues import DomainError, Params, ResidueSet, check_modulus, common_modulus, is_prime
+from .residues import (
+    DomainError,
+    NumpyOnFirstUse,
+    Params,
+    ResidueSet,
+    check_modulus,
+    common_modulus,
+    is_prime,
+)
+
+np = NumpyOnFirstUse(globals())  # numpy is imported on first use
 
 
-def _where(cond, yes, no):
-    """``np.where`` on arrays, a plain conditional on ints, so a scalar stays a Python int."""
+def piecewise(cond, yes, no):
+    """``yes if cond else no`` on a scalar condition, so an int stays a Python int and no
+    numpy is imported; ``np.where(cond, yes, no)`` on a bool array. The piecewise forms
+    here and in ``construction`` are written once through it, for both."""
+    if isinstance(cond, bool):
+        return yes if cond else no
     return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else (yes if cond else no)
 
 
@@ -39,21 +51,22 @@ def _ceil_div4(x):
 
 def _f(p, s, t):
     tt = 2 * t
-    return _where(tt <= p - s + 1, 0, _where(tt <= p + s - 2, (s + tt - p) ** 2 // 4, s * (tt - p)))
+    middle = piecewise(tt <= p + s - 2, (s + tt - p) ** 2 // 4, s * (tt - p))
+    return piecewise(tt <= p - s + 1, 0, middle)
 
 
 def _g(p, s, t):
     tt = 2 * t
-    large = _where(tt <= 2 * p - s - 1, _ceil_div4(s * (4 * t - s)), s * (tt - p) + (p - t) ** 2)
-    return _where(tt <= s, t * t, large)
+    large = piecewise(tt <= 2 * p - s - 1, _ceil_div4(s * (4 * t - s)), s * (tt - p) + (p - t) ** 2)
+    return piecewise(tt <= s, t * t, large)
 
 
 def _schur_f(p, s):
-    return _where(3 * s <= p + 1, 0, (3 * s - p) ** 2 // 4)
+    return piecewise(3 * s <= p + 1, 0, (3 * s - p) ** 2 // 4)
 
 
 def _schur_g(p, s):
-    return _where(3 * s <= 2 * p + 1, _ceil_div4(3 * s * s), s * (2 * s - p) + (p - s) ** 2)
+    return piecewise(3 * s <= 2 * p + 1, _ceil_div4(3 * s * s), s * (2 * s - p) + (p - s) ** 2)
 
 
 def lower_bound(p: int, s: int, t: int) -> int:

@@ -9,7 +9,6 @@ times are only included when --timing is passed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import operator
@@ -366,6 +365,8 @@ def _render(value, pad: str) -> str:
 def render_csv(rows: list[dict]) -> str:
     if not rows:
         return "\n"
+    import csv  # imported here, so that a JSON call's start-up does not pay for it
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()

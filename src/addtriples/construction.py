@@ -22,13 +22,16 @@ position is as direct. The selection takes the most copies of each value,
 compared from the largest value down; on consecutive values that is the k
 largest elements, one element w, then the smallest rest, with k found by
 one bisect over those closed forms, so choosing costs O(log s) arithmetic
-and writing the chosen values costs one dict entry each (see
-:func:`select_multisubset`). The k largest, w and the smallest rest hold
-disjoint values, and each run of positions lies on at most two runs of
-residues, so :func:`construct` realises A as O(1) residue ranges set by
-slice in one bool indicator, which gives A its bitmask and its member
-array; it walks no value. :func:`realize_set` takes any selection dict,
-checks each count and lists its residues into the same indicator core. The
+and writing the chosen values costs one dict entry each, in one
+``dict.fromkeys`` (see :func:`select_multisubset`). The k largest, w and
+the smallest rest hold disjoint values, and each run of positions lies on
+at most two runs of residues, so :func:`construct` realises A as at most
+four sorted residue runs (``ResidueSet._from_runs``): its bitmask is built
+by int arithmetic and its members are listed off the runs when first read.
+It walks no value, and neither it nor the recount by
+:func:`counting.count_interval` imports numpy. :func:`realize_set` takes
+any selection dict, checks each count and sets its residues in one bool
+indicator with numpy, which stays linear in p for any selection. The
 selection rule and the residue tie-breaking here are deterministic, so a
 given (p, s, t, r) always yields the same witness set A.
 """
@@ -38,19 +41,22 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
+from typing import Iterable
 
 from . import counting
-from .bounds import _ceil_div4, _where
+from .bounds import piecewise
 from .residues import (
     DomainError,
+    NumpyOnFirstUse,
     Params,
     ResidueSet,
     VerificationError,
     check_modulus,
     interval_set,
 )
+
+np = NumpyOnFirstUse(globals())  # numpy is imported on first use
 
 
 class UnattainableTargetError(DomainError):
@@ -160,17 +166,17 @@ def _extreme_sums(p, s, t):
     # The two-regime case table, on ints or on int64 arrays alike.
     tt = 2 * t
     middle = (s + tt - p) ** 2 // 4
-    big = _ceil_div4(s * (4 * t - s))
+    big = -(-(s * (4 * t - s)) // 4)
     small_b = tt <= p - 1
-    r1 = _where(
+    r1 = piecewise(
         small_b,
-        _where(s <= p - tt + 1, 0, middle),
-        _where(s <= tt - p + 1, s * (tt - p), middle),
+        piecewise(s <= p - tt + 1, 0, middle),
+        piecewise(s <= tt - p + 1, s * (tt - p), middle),
     )
-    r2 = _where(
+    r2 = piecewise(
         small_b,
-        _where(s <= tt - 1, big, t * t),
-        _where(s <= 2 * p - tt - 1, big, s * (tt - p) + (p - t) ** 2),
+        piecewise(s <= tt - 1, big, t * t),
+        piecewise(s <= 2 * p - tt - 1, big, s * (tt - p) + (p - t) ** 2),
     )
     return r1, r2
 
@@ -256,36 +262,38 @@ def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, 
     if not r1 <= r <= r2:
         raise UnattainableTargetError(r, r1, r2)
     k = bisect_right(range(s + 1), r, key=split) - 1
-    selection: dict[int, int] = {}
 
-    def take(lo: int, hi: int) -> tuple[int, int]:
-        # Add positions [lo, hi) as one run, largest value first: the top value,
-        # two copies of each value strictly between, the bottom value. The k
-        # largest, w and the n smallest hold disjoint values, so no count is
-        # added to. Returns the run's (size, sum).
+    def take(lo: int, hi: int) -> tuple[Iterable[int], dict[int, int], int, int]:
+        # Positions [lo, hi) as one run: its values, largest first; the counts
+        # of its top and bottom values (each value strictly between has two
+        # copies); its size; its sum.
         if lo >= hi:
-            return 0, 0
+            return (), {}, 0, 0
         top, bottom = value(hi - 1), value(lo)
         if top == bottom:
-            selection[top] = hi - lo
-            return hi - lo, top * (hi - lo)
+            return (top,), {top: hi - lo}, hi - lo, top * (hi - lo)
         c_top, c_bottom = copies(top, lo, hi), copies(bottom, lo, hi)
-        selection[top] = c_top
-        selection.update(dict.fromkeys(range(top - 1, bottom, -1), 2))
-        selection[bottom] = c_bottom
         between = top - bottom - 1
-        return (c_top + 2 * between + c_bottom,
+        return (range(top, bottom - 1, -1), {top: c_top, bottom: c_bottom},
+                c_top + 2 * between + c_bottom,
                 top * c_top + (top + bottom) * between + bottom * c_bottom)
 
-    size, weight = take(p - k, p)  # the k largest; with k = s they may reach the floor run
+    # The k largest (with k = s they may reach the floor run), w, the n smallest.
+    largest, largest_ends, size, weight = take(p - k, p)
     n, w, short = s - k, None, r - split(k)
     if short:  # so k < s; w is the (s - k)-th smallest value plus the shortfall
         n -= 1
-        w = value(n) + short
-        selection[w] = 1  # below the k largest, above the n smallest
+        w = value(n) + short  # below the k largest, above the n smallest
         size, weight = size + 1, weight + w
-    rest = take(0, n)  # the n smallest
-    size, weight = size + rest[0], weight + rest[1]
+    rest, rest_ends, rest_size, rest_weight = take(0, n)
+    size, weight = size + rest_size, weight + rest_weight
+    # Their values are disjoint, so the selection is one dict built in descending
+    # order with every count at 2; setting the other counts keeps that order.
+    middle = {} if w is None else {w: 1}
+    selection = dict.fromkeys(chain(largest, middle, rest), 2)
+    selection.update(largest_ends)
+    selection.update(middle)
+    selection.update(rest_ends)
     if (size, weight) != (s, r):
         raise VerificationError(f"selection has (size, sum) {(size, weight)}, wanted {(s, r)}")
     return selection, (k, n, w)
@@ -302,8 +310,9 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
     representative a = t - v, then from p - (t - v); the floor value takes
     residues from its canonical run in increasing order, starting at t - F
     (t when the floor F is 0, p - t otherwise). The residues and the floor
-    run are set in one bool indicator, the same core that :func:`construct`
-    sets its ranges in, which gives the set its bitmask and its member array.
+    run are set in one bool indicator, which gives the set its bitmask and
+    its member array in O(p); :func:`construct` sets the same residues as
+    runs instead (see :func:`_realize_runs`).
 
     The ``profile`` parameter stays, although only ``profile.p`` and
     ``profile.t`` are read: callers pass the profile they drew the selection
@@ -330,11 +339,15 @@ def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
                 residues.append(p - (t - v))
         else:
             floor_range = (t - floor, t - floor + c)
-    return _indicator_set(p, [floor_range], residues)
+    flags = np.zeros(max(floor_range[1], max(residues, default=-1) + 1), dtype=bool)
+    flags[residues] = True
+    flags[slice(*floor_range)] = True
+    return ResidueSet._from_indicator(p, flags)
 
 
 def _realize_runs(p: int, t: int, k: int, n: int, w: int | None) -> ResidueSet:
-    """The set :func:`realize_set` gives for the selection of runs (k, n, w), in O(1) ranges.
+    """The set :func:`realize_set` gives for the selection of runs (k, n, w), as at most
+    four sorted residue runs, with no numpy and no per-value pass.
 
     Residue a has overlap max(t - |a|, F), |a| its symmetric magnitude, so
     the tie-break puts the values on the residues in order: t on 0, the
@@ -357,23 +370,9 @@ def _realize_runs(p: int, t: int, k: int, n: int, w: int | None) -> ResidueSet:
         above = n - run  # elements of the n smallest above the floor
         ranges.append((edge, edge + n) if above <= 0
                       else (edge - (above + 1) // 2, p - edge + 1 + above // 2))
-    return _indicator_set(p, ranges, [] if w is None else [t - w])
-
-
-def _indicator_set(p: int, ranges: list[tuple[int, int]], residues: list[int]) -> ResidueSet:
-    """The set of the residues in the half-open ``ranges`` and in ``residues``, all in [0, p).
-
-    They are set in one bool indicator, no longer than the largest member
-    needs, by one slice per range and one gather for the residues; the set
-    takes its bitmask and its member array from that indicator.
-    """
-    size = max(max((stop for start, stop in ranges if start < stop), default=0),
-               max(residues, default=-1) + 1)
-    flags = np.zeros(size, dtype=bool)
-    flags[residues] = True
-    for start, stop in ranges:
-        flags[start:stop] = True
-    return ResidueSet._from_indicator(p, flags)
+    if w is not None:
+        ranges.append((t - w, t - w + 1))
+    return ResidueSet._from_runs(p, sorted((start, stop) for start, stop in ranges if start < stop))
 
 
 @dataclass(frozen=True)
@@ -394,11 +393,12 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     """Build A with r(A, B, B) = r for B = {0..t-1}; works for every odd p.
 
     The selection and its realisation come from (p, t) in closed form, with
-    no profile built: the selection's runs are set as residue ranges (see
+    no profile built: the selection's runs are set as residue runs (see
     :func:`select_multisubset` and the module docstring). The achieved
-    count is recomputed from the residues of A by
-    :func:`counting.count_interval`, in O(s), before the witness is
-    returned; a mismatch would be a bug and raises :class:`VerificationError`.
+    count is recomputed from the bitmask of A by
+    :func:`counting.count_interval`, in closed form over its runs of
+    members, before the witness is returned; a mismatch would be a bug and
+    raises :class:`VerificationError`. No step imports numpy.
     """
     params = Params(p, s, t)
     r = operator.index(r)

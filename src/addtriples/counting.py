@@ -22,8 +22,11 @@ each :class:`ResidueSet` caches once; :func:`count_shift` reads the same
 members as Python ints through :meth:`ResidueSet.elements`.
 
 :func:`count_interval` is not a fifth cross-check route: it is a specialised
-recount for B = {0..t-1} only, in O(|A|) from the residues of A, which
-:func:`construct` uses to recount every witness it builds.
+recount for B = {0..t-1} only, which :func:`construct` uses to recount every
+witness it builds. It reads the maximal runs of A off the binary digits of
+its bitmask with ``str.find``, one C-level O(p) scan, and adds a closed-form
+arithmetic series per run, so its Python work is O(runs) and it never
+imports numpy.
 
 :func:`count_naive` and the representation counts behind :func:`count_layers`
 both walk the pair sums a + b in numpy blocks of whole rows of A, each
@@ -44,9 +47,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
+from .residues import DomainError, NumpyOnFirstUse, ResidueSet, common_modulus, pack_indicator
 
-from .residues import DomainError, ResidueSet, common_modulus, pack_indicator
+np = NumpyOnFirstUse(globals())  # numpy is imported on first use
 
 
 def _index(x_set: ResidueSet) -> np.ndarray:
@@ -111,19 +114,44 @@ def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
     return total
 
 
+def _runs_within(digits: str, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The maximal runs [a, b) of set bits with lo <= a < b <= hi, clipped to that window,
+    of the int whose ``format(bits, "b")`` is ``digits`` (bit r is ``digits[-1 - r]``)."""
+    n = len(digits)
+    end = max(0, n - lo)
+    stop = max(0, n - hi)
+    while (start := digits.find("1", stop, end)) >= 0:
+        stop = digits.find("0", start, end)
+        if stop < 0:
+            stop = end
+        yield n - stop, n - start
+
+
 def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
-    """r(A, B, B) for the interval B = {0..t-1} only, by O(|A|) arithmetic on the members of A.
+    """r(A, B, B) for the interval B = {0..t-1} only, in closed form over the runs of A.
 
     For 0 <= a < p the arc a + B is the integers a..a+t-1: its part below p
-    meets B in max(0, t - a) residues and its part from p up, reduced, in
-    max(0, a + t - p). Raises :class:`DomainError` for any other B.
+    meets B in t - a residues when a < t, and its part from p up, reduced,
+    in a + t - p when a > p - t. So only the members of A in those two
+    windows count, and a run [lo, hi) of them adds an arithmetic series:
+    T(t - lo) - T(t - hi) in the first, T(hi + t - p - 1) - T(lo + t - p - 1)
+    in the second, T(n) = n(n + 1)/2. The runs are read off the binary
+    digits of ``a_set.bits`` by ``str.find``: a C-level O(p) scan plus
+    O(runs) Python arithmetic, exact for any A, and no numpy. Raises
+    :class:`DomainError` for any other B.
     """
     p = common_modulus(a_set, b_set)
     t = b_set.cardinality
     if b_set.bits.bit_length() != t:  # t members, the highest at t - 1
         raise DomainError(f"B is not the interval {{0..{t - 1}}} of Z_{p}")
-    a = _index(a_set)
-    return int((np.maximum(0, t - a) + np.maximum(0, a + t - p)).sum())
+    digits = format(a_set.bits, "b")
+    twice = 0  # twice the count: each series is T(.) - T(.), and 2T(n) = n(n + 1)
+    for lo, hi in _runs_within(digits, 0, t):
+        twice += (t - lo) * (t - lo + 1) - (t - hi) * (t - hi + 1)
+    c = t - p - 1
+    for lo, hi in _runs_within(digits, p - t + 1, p):
+        twice += (hi + c) * (hi + c + 1) - (lo + c) * (lo + c + 1)
+    return twice // 2
 
 
 def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:

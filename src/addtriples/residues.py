@@ -3,12 +3,18 @@
 Bit r of ``bits`` is set exactly when residue r is a member, so complement,
 shift, intersection size and sumset all reduce to word-parallel integer
 operations, which stay cheap even for moduli in the thousands.
-:func:`bit_positions` and :func:`pack_indicator` are the only conversions
-between a bitmask and its residues; a set keeps the array form of the
-first, built once, as the one fast path to its members; a set built from a
-bool indicator takes that array from the indicator instead. Moduli are odd and
-at least 3. Empty sets are legal here; cardinality constraints such as
-1 <= s, t <= p-1 are enforced only at the :class:`Params` boundary.
+
+A set finds its members once and caches them. By default they are unpacked
+from the bitmask with numpy, as :func:`bit_positions` does
+(:func:`pack_indicator` packs the other way), into a read-only int64 array:
+the one fast path to the members of an arbitrary set. A set built from a
+bool indicator takes that array from the indicator. A set built from a few
+sorted, disjoint residue runs (:func:`interval_set`, and the witnesses of
+``construct``) gets its bitmask by int arithmetic and lists its member
+tuple off the runs on first read, so it needs no numpy; numpy itself is
+imported on first use (see :class:`NumpyOnFirstUse`). Moduli are odd and at least 3. Empty
+sets are legal here; cardinality constraints such as 1 <= s, t <= p-1 are
+enforced only at the :class:`Params` boundary.
 """
 
 from __future__ import annotations
@@ -16,9 +22,33 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, starmap
 from typing import Iterable, Iterator
 
-import numpy as np
+
+class NumpyOnFirstUse:
+    """Stands in for ``np`` in one module's globals until numpy is first used there.
+
+    Each module of this package that uses numpy binds
+    ``np = NumpyOnFirstUse(globals())``. The first attribute read imports
+    numpy and rebinds ``np`` in that module's globals to numpy itself, so
+    later reads there go straight to numpy, and a command that never needs
+    numpy never imports it. Nothing is put into ``sys.modules``.
+    """
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = NumpyOnFirstUse(globals())
 
 # Counts r(A, B, B) can approach p^2, so they need 64-bit integers; the
 # modulus itself is capped well below that.
@@ -87,7 +117,7 @@ def _position_array(bits: int) -> np.ndarray:
 
 
 def bit_positions(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of a nonnegative int, ascending; () for 0, without numpy."""
+    """The positions of the set bits of a nonnegative int, ascending, as plain ints; () for 0."""
     return tuple(_position_array(bits).tolist()) if bits else ()
 
 
@@ -150,6 +180,29 @@ class ResidueSet:
         made.__dict__["_member_array"] = members  # the slot the cached property fills
         return made
 
+    @classmethod
+    def _from_runs(cls, modulus: int, runs: Iterable[tuple[int, int]]) -> "ResidueSet":
+        """The union of the half-open residue ranges ``runs``, sorted and disjoint.
+
+        The bitmask is built by int arithmetic, one mask per run, so its cost
+        is O(len(runs) * p / 64) word operations: this is for sets of a few
+        runs. The member tuple is listed off the runs when it is first read,
+        without numpy. Raises :class:`DomainError` unless
+        0 <= start <= stop <= next start <= ... <= p, so that the bitmask and
+        the members agree.
+        """
+        runs = tuple(runs)
+        bits = last = 0
+        for start, stop in runs:
+            if not last <= start <= stop:
+                raise DomainError(f"residue runs must be sorted and disjoint: "
+                                  f"[{start}, {stop}) follows one ending at {last}")
+            bits |= (1 << stop) - (1 << start)
+            last = stop
+        made = cls(modulus, bits)  # checks stop <= p
+        made.__dict__["_runs"] = runs  # read by _members
+        return made
+
     @cached_property
     def _member_array(self) -> np.ndarray:
         """The members in ascending order, as a read-only int64 array."""
@@ -159,6 +212,9 @@ class ResidueSet:
 
     @cached_property
     def _members(self) -> tuple[int, ...]:
+        runs = self.__dict__.get("_runs")
+        if runs is not None:
+            return tuple(chain.from_iterable(starmap(range, runs)))
         return tuple(self._member_array.tolist())
 
     def elements(self) -> tuple[int, ...]:
@@ -228,7 +284,7 @@ def interval_set(modulus: int, length: int) -> ResidueSet:
     length = operator.index(length)
     if not 0 <= length <= p:
         raise DomainError(f"interval length must lie in [0, {p}], got {length}")
-    return ResidueSet(p, (1 << length) - 1)
+    return ResidueSet._from_runs(p, [(0, length)])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ lex-first t-set B containing 0 that attains the value, then the lex-first
 s-set A for that B, and is recounted by the naive counting oracle before it
 is returned; the scanner makes witnesses for its exceptions only. (``construct``'s
 interval-B witnesses are recounted by ``counting.count_interval`` instead, a
-specialised O(s) recount for B = {0..t-1}, not a fifth cross-check route.)
+specialised recount over the runs of A for B = {0..t-1}, not a fifth
+cross-check route.)
 
 Budgets keep their pricing: C(p,s) * C(p,t) pairs for ``exhaustive`` and for
 each scanned instance, C(p,s) sets A for ``fixed-interval-B`` and the Schur
@@ -55,8 +56,6 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, lgamma, log, prod
 
-import numpy as np
-
 from . import counting
 from .bounds import (
     BoundsResult,
@@ -68,9 +67,10 @@ from .bounds import (
 )
 from .construction import build_shift_profile, shift_overlap
 from .residues import (
-    MAX_MODULUS,
     DomainError,
     InvalidModulusError,
+    MAX_MODULUS,
+    NumpyOnFirstUse,
     Params,
     ResidueSet,
     VerificationError,
@@ -78,6 +78,8 @@ from .residues import (
     is_prime,
     make_set,
 )
+
+np = NumpyOnFirstUse(globals())  # numpy is imported on first use
 
 DEFAULT_PAIR_BUDGET = 10**8
 

@@ -32,10 +32,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import ceil, log
 
-import numpy as np
-
 from . import bounds, counting
-from .residues import DomainError, ResidueSet, check_modulus, is_prime
+from .residues import DomainError, NumpyOnFirstUse, ResidueSet, check_modulus, is_prime
+
+np = NumpyOnFirstUse(globals())  # numpy is imported on first use
 
 PRIME_ONLY_CHECKS = ("sumset-inequality", "layer-inequalities", "bound-sandwich")
 

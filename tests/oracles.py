@@ -18,6 +18,12 @@ def brute_count(p, a_elems, b_elems):
     return total
 
 
+def interval_count(p, a_elems, t):
+    """r(A, B, B) for B = {0..t-1}, 0 <= t <= p, one residue of A at a time: the arc
+    a + B meets B in max(0, t - a) residues below p and max(0, a + t - p) from p up."""
+    return sum(max(0, t - a) + max(0, a + t - p) for a in a_elems)
+
+
 def sample_indicator(rng, p, size):
     """The bitmask of ``rng.sample(range(p), size)``, which verify's draw must match word for
     word."""

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -400,6 +403,48 @@ def test_default_output_digest(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fresh_interpreter(code, *args):
+    """Run ``code`` in a new interpreter that imports this addtriples package."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+NO_NUMPY_MAIN = ("import sys; sys.modules['numpy'] = None; "
+                 "from addtriples.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--p", "100001", "--s", "30000", "--t", "41000", "--r", "900000000"),
+    ("construct", "--p", "100001", "--s", "30000", "--t", "41000", "--r", "900000000",
+     "--format", "csv"),
+    ("construct", "--p", "9", "--s", "7", "--t", "6", "--r", "25"),
+    ("bounds", "--p", "101", "--s", "30", "--t", "40"),
+    ("bounds", "--p", "9", "--s", "7", "--t", "6", "--format", "csv"),
+], ids=["construct-json", "construct-csv", "construct-composite", "bounds-json", "bounds-csv"])
+def test_construct_and_bounds_need_no_numpy(capsys, argv):
+    # numpy made unimportable: any import of it would end in a traceback and exit 1
+    proc = _fresh_interpreter(NO_NUMPY_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert proc.stdout == out.encode()
+
+
+def test_numpy_is_imported_on_first_use_only():
+    proc = _fresh_interpreter(
+        "import sys\n"
+        "from addtriples import cli, counting, residues\n"
+        "assert 'numpy' not in sys.modules and type(counting.np).__name__ == 'NumpyOnFirstUse'\n"
+        "cli.main(['bounds', '--p', '9', '--s', '7', '--t', '6'])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "cli.main(['count', '--p', '9', '--set-a', '0,1', '--set-b', '0,1', '--method', 'naive'])\n"
+        "import numpy\n"
+        "assert counting.np is numpy and residues.np is numpy\n")
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_parser_reuse_carries_no_state(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
@@ -21,7 +22,7 @@ from addtriples.construction import (
     select_multisubset,
     shift_overlap,
 )
-from addtriples.residues import DomainError, VerificationError, make_set
+from addtriples.residues import DomainError, VerificationError, interval_set, make_set
 
 from oracles import (
     brute_count,
@@ -369,7 +370,9 @@ class TestConstruct:
         # value and lists its residues. Both build the same selection dict, and
         # construct also recounts its witness, so its traced peak reaching 90% of
         # select_multisubset + realize_set's means a per-value pass is back (it
-        # was 100% with one, 78% without, on CPython 3.11).
+        # was 100% with one and 78% with the runs set in a bool indicator; 41%
+        # with sorted residue runs and the selection built as one dict, on
+        # CPython 3.11).
         p, s, t = 2**20 + 1, 2**19, 2**19
         profile = build_shift_profile(p, t)
         r = extreme_sums(p, s, t)[1]
@@ -385,6 +388,32 @@ class TestConstruct:
         per_value = traced_peak(lambda: realize_set(select_multisubset(profile, s, r), profile))
         runs = traced_peak(lambda: construct(p, s, t, r))
         assert runs < 0.9 * per_value, (runs, per_value)
+
+    def test_realize_set_and_count_interval_stay_linear_in_p(self):
+        # From p ~ 2^18 to p ~ 2^20 linear work takes about 4x the time and quadratic
+        # work about 16x; 8x is the line. Each time is the best of three. realize_set
+        # gets s = t = (p - 1)/2 at the midpoint target; count_interval gets its worst
+        # case, the even residues (the most runs) against B = {0..p-2}, whose two
+        # windows cover all of Z_p.
+        def best_time(call):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                call()
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        times = {}
+        for p in (2**18 + 1, 2**20 + 1):
+            s = t = (p - 1) // 2
+            profile = build_shift_profile(p, t)
+            selection = select_multisubset(profile, s, sum(extreme_sums(p, s, t)) // 2)
+            alternating, b = make_set(p, range(0, p, 2)), interval_set(p, p - 1)
+            times[p] = (best_time(lambda: realize_set(selection, profile)),
+                        best_time(lambda: counting.count_interval(alternating, b)))
+        small, large = times.values()
+        assert large[0] < 8 * small[0], ("realize_set", times)
+        assert large[1] < 8 * small[1], ("count_interval", times)
 
     def test_recount_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(counting, "count_interval", lambda a, b: -1)

@@ -9,12 +9,13 @@ from addtriples.residues import (
     DomainError,
     IncompatibleSetsError,
     ResidueSet,
+    empty_set,
     full_set,
     interval_set,
     make_set,
 )
 
-from oracles import brute_count, brute_multiplicities
+from oracles import brute_count, brute_multiplicities, interval_count
 
 METHODS = [
     counting.count_naive,
@@ -331,3 +332,28 @@ class TestCountInterval:
     def test_modulus_mismatch(self):
         with pytest.raises(IncompatibleSetsError):
             counting.count_interval(make_set(5, [0]), interval_set(7, 3))
+
+    @pytest.mark.parametrize("p", [3, 5, 9, 101, 4099])
+    def test_empty_full_and_alternating_sets_for_every_t(self, p):
+        # The even residues 0, 2, ..., p - 1 are the A with the most runs, (p + 1) / 2.
+        # Closed forms: nothing for empty A; every overlap, t^2 in all, for full A; for
+        # the even residues, the m = ceil(t/2) of them below t add t, t - 2, ..., and
+        # the m2 = floor(t/2) of them above p - t add t - 1, t - 3, ...
+        alternating = make_set(p, range(0, p, 2))
+        sets = (empty_set(p), full_set(p), alternating)
+        slow_ts = set(range(p + 1)) if p <= 101 else {0, 1, 2, 3, p // 2, p // 2 + 1, p - 1, p}
+        for t in range(p + 1):
+            b = interval_set(p, t)
+            got = [counting.count_interval(a, b) for a in sets]
+            m, m2 = (t + 1) // 2, t // 2
+            assert got == [0, t * t, m * t - m * (m - 1) + m2 * (t - 1) - m2 * (m2 - 1)], (p, t)
+            if t in slow_ts:
+                assert got[2] == interval_count(p, alternating.elements(), t), (p, t)
+                assert got == [counting.count_naive(a, b) for a in sets], (p, t)
+
+    @pytest.mark.parametrize("p", [3, 5, 9, 101, 4099])
+    def test_refuses_non_interval_b_at_every_modulus(self, p):
+        a = make_set(p, range(0, p, 2))
+        for b_elems in ([1], [0, 2], [p - 1], range(1, p), [*range(p // 2), p - 1]):
+            with pytest.raises(DomainError):
+                counting.count_interval(a, make_set(p, b_elems))

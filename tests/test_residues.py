@@ -185,10 +185,35 @@ class TestSumset:
         assert (x + y).cardinality >= min(x.modulus, x.cardinality + y.cardinality - 1)
 
 
+class TestFromRuns:
+    def test_bits_and_members_agree_with_make_set(self):
+        for p, runs in [(9, []), (9, [(0, 9)]), (9, [(0, 2), (2, 3), (5, 6), (8, 9)]),
+                        (4099, [(0, 1), (7, 7), (100, 2000), (4098, 4099)]),
+                        (21, [(3, 3), (4, 10), (10, 10), (12, 21)])]:
+            made = ResidueSet._from_runs(p, runs)
+            expected = make_set(p, [x for start, stop in runs for x in range(start, stop)])
+            assert made == expected and made.cardinality == expected.cardinality
+            assert made.elements() == expected.elements()
+            assert made._member_array.tolist() == list(expected.elements())
+
+    def test_members_are_listed_off_the_runs_on_first_read(self):
+        made = ResidueSet._from_runs(2**20 + 1, [(5, 8), (2**20, 2**20 + 1)])
+        assert "_members" not in made.__dict__ and "_member_array" not in made.__dict__
+        assert list(made) == [5, 6, 7, 2**20]
+        assert "_member_array" not in made.__dict__  # never unpacked from the bitmask
+
+    def test_refuses_unsorted_overlapping_or_out_of_range_runs(self):
+        for runs in ([(3, 5), (0, 2)], [(0, 4), (3, 6)], [(4, 3)], [(-1, 2)], [(5, 10)]):
+            with pytest.raises(DomainError):
+                ResidueSet._from_runs(9, runs)
+
+
 class TestHelpers:
     def test_interval_set(self):
         assert interval_set(9, 6).elements() == (0, 1, 2, 3, 4, 5)
+        assert interval_set(9, 6) == make_set(9, range(6))
         assert interval_set(9, 0).cardinality == 0
+        assert interval_set(9, 9) == full_set(9)
         with pytest.raises(DomainError):
             interval_set(9, 10)
 
