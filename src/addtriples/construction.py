@@ -114,13 +114,6 @@ class ShiftProfile:
     def weighted_total(self) -> int:
         return sum(map(operator.mul, self.counts, self.counts.values()))
 
-    def ascending(self) -> list[int]:
-        """The full multiset as a sorted list of its p values (O(p); a test oracle)."""
-        out: list[int] = []
-        for v in sorted(self.counts):
-            out.extend([v] * self.counts[v])
-        return out
-
 
 def build_shift_profile(p: int, t: int) -> ShiftProfile:
     """The overlap multiset of B = {0..t-1} in closed form, checked by both mass identities.

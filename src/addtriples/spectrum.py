@@ -6,14 +6,19 @@ Three modes with very different costs:
 * ``fixed-interval-B``  - all C(p,s) sets A against B = {0..t-1}.
 * ``multiset-dp``       - no enumeration at all: the same engine run on
   the interval's overlap profile alone, which by the selection equivalence
-  must reproduce the fixed-interval spectrum. It runs only to size
-  min(s, p - s): the complement of an s-selection is a (p - s)-selection,
-  and the p overlaps sum to t^2.
+  must reproduce the fixed-interval spectrum.
 
 The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
-over all A are the exactly-s selection sums of B's overlap multiset
-(bounded-multiplicity subset-sum DP over its histogram, on the values less
-the least one, so rows stay narrow when every overlap is at least 2t - p).
+over all A are the exactly-s selection sums of B's overlap multiset. One
+dispatcher serves every mode. When the histogram is gapless (its distinct
+values are consecutive integers, max - min + 1 of them), the exchange lemma
+applies: the exactly-c sums are every integer from the sum of the c
+smallest elements to the sum of the c largest, since swapping a selected x
+for an unselected x + 1 adds 1. Every interval profile is gapless, its
+values running from max(0, 2t - p) to t, so ``multiset-dp`` reads its row
+off the sorted histogram. Any other histogram goes to the DP core, a
+bounded-multiplicity subset-sum DP over the histogram, on the values less
+the least one, so rows stay narrow when every overlap is at least 2t - p.
 The DP adds its values in ascending order, so a row of c items is at most
 c * (v - min) bits wide once value v is in. A value with exactly two
 copies (each interval value strictly between the floor and t, and any value
@@ -22,17 +27,17 @@ the rows rather than two; other multiplicities are binary-split. The DP
 stops updating a row once the copies still to come cannot lift it to the
 least requested size, and it returns only the requested rows, so no caller
 reads a row left partial. Translating B changes no count, so ``exhaustive``
-visits only the B that contain 0 and runs the DP once per distinct
+visits only the B that contain 0 and runs the engine once per distinct
 histogram. The histograms depend on (p, t) alone, so the scanner makes one
 such pass per (p, t) for all its sizes s.
 
 Every mode hands its attained values to the report as one bitmask, and the
 report reads the attained values, the gaps inside the closed-form interval
-[f, g] and any exceptional values outside it off that bitmask. The three
-(p, s, t) modes take f, g and primality from one ``bounds_for`` call, which
-validates the instance once. For prime p
-there are provably no gaps and no exceptions; for composite odd p exceptions
-exist (the scanner below hunts for them). An exhaustive witness takes the
+[f, g] and any exceptional values outside it off that bitmask, run by run
+from its binary digits, without numpy. The three (p, s, t) modes take f,
+g and primality from one ``bounds_for`` call, which validates the instance
+once. For prime p there are provably no gaps and no exceptions; for
+composite odd p exceptions exist (the scanner below hunts for them). An exhaustive witness takes the
 lex-first t-set B containing 0 that attains the value, then the lex-first
 s-set A for that B, and is recounted by the naive counting oracle before it
 is returned; the scanner makes witnesses for its exceptions only. (``construct``'s
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, lgamma, log, prod
@@ -164,6 +169,23 @@ def _between(f: int, g: int) -> int:
     return (1 << (g + 1)) - (1 << f)
 
 
+def _listed(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative int, ascending, without numpy.
+
+    A report's bitmasks are a few runs of set bits, so they are read run by
+    run off the binary digits with ``str.find``.
+    """
+    digits = format(bits, "b")[::-1]  # digits[r] is bit r
+    positions: list[int] = []
+    stop = 0
+    while (start := digits.find("1", stop)) >= 0:
+        stop = digits.find("0", start)
+        if stop < 0:
+            stop = len(digits)
+        positions.extend(range(start, stop))
+    return tuple(positions)
+
+
 def _make_report(
     interval: BoundsResult,
     mode: str,
@@ -179,11 +201,11 @@ def _make_report(
         s=interval.s,
         t=interval.t,
         mode=mode,
-        attained=bit_positions(attained),
+        attained=_listed(attained),
         f=f,
         g=g,
-        gaps=bit_positions(inside & ~attained),
-        exceptions=bit_positions(attained & ~inside),
+        gaps=_listed(inside & ~attained),
+        exceptions=_listed(attained & ~inside),
         prime=interval.guaranteed,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,
@@ -312,6 +334,39 @@ def spectrum_fixed_interval(
 
 
 def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -> dict[int, int]:
+    """The sums of exactly c elements of a multiset, for each c in ``sizes``.
+
+    ``counts`` maps each value to its (positive) multiplicity. Returns
+    {c: bitmask over the sums attainable with exactly c elements}, 0 when c
+    exceeds the multiset's size. When the distinct values are consecutive
+    integers, the exchange lemma gives each row as the full range from the
+    sum of the c smallest elements to the sum of the c largest: in a
+    selection that is not the largest, let x be the largest selected value
+    below some unselected one and y the least unselected value above x;
+    every value strictly between them exists and is fully selected, so
+    y = x + 1, and swapping x for y adds exactly 1. Any other histogram goes
+    to the DP core :func:`_selection_sums_dp`.
+    """
+    ascending = sorted(counts.items())
+    if ascending[-1][0] - ascending[0][0] + 1 != len(ascending):
+        return _selection_sums_dp(counts, sizes)
+    total = sum(counts.values())
+    return {c: _between(_first_sum(ascending, c), _first_sum(reversed(ascending), c))
+            if c <= total else 0 for c in sizes}
+
+
+def _first_sum(items: Iterable[tuple[int, int]], c: int) -> int:
+    """The sum of the first c elements of the multiset that ``items`` lists as (value, copies)."""
+    total = 0
+    for v, m in items:
+        if c <= m:
+            return total + c * v
+        total += m * v
+        c -= m
+    return total
+
+
+def _selection_sums_dp(counts: dict[int, int], sizes: Collection[int]) -> dict[int, int]:
     """Subset-sum DP over a multiset: the sums of exactly c elements for each c in ``sizes``.
 
     Returns {c: bitmask over the sums attainable with exactly c elements}.
@@ -359,16 +414,13 @@ def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
     """The fixed-interval spectrum computed without enumerating sets at all.
 
-    The p overlaps of B sum to t^2, so the residues outside an s-set A give
-    a (p - s)-selection summing to t^2 minus A's: the DP runs only to
-    min(s, p - s) and mirrors the values when that is p - s.
+    The interval's overlap values run from max(0, 2t - p) to t with no hole,
+    so the engine serves size s by the exchange lemma, off the sorted
+    histogram, and runs no DP.
     """
     interval = bounds_for(p, s, t)
     started = time.perf_counter()
-    size = min(s, p - s)
-    attained = _attainable_selection_sums(build_shift_profile(p, t).counts, (size,))[size]
-    if size < s:  # bit x moves to bit t^2 - x
-        attained = int(f"{attained:b}"[::-1], 2) << (t * t + 1 - attained.bit_length())
+    attained = _attainable_selection_sums(build_shift_profile(p, t).counts, (s,))[s]
     return _make_report(interval, "multiset-dp", attained, None, started)
 
 

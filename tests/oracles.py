@@ -48,6 +48,14 @@ def brute_spectrum(p, s, t):
     return sorted(values)
 
 
+def ascending_profile(profile):
+    """The full overlap multiset of a ``ShiftProfile`` as a sorted list of its p values."""
+    out = []
+    for v in sorted(profile.counts):
+        out.extend([v] * profile.counts[v])
+    return out
+
+
 def pair_multiset(u):
     """The multiset {1,1,2,2,...,u-1,u-1,u}, sorted ascending."""
     out = []

@@ -424,9 +424,15 @@ NO_NUMPY_MAIN = ("import sys; sys.modules['numpy'] = None; "
     ("construct", "--p", "9", "--s", "7", "--t", "6", "--r", "25"),
     ("bounds", "--p", "101", "--s", "30", "--t", "40"),
     ("bounds", "--p", "9", "--s", "7", "--t", "6", "--format", "csv"),
-], ids=["construct-json", "construct-csv", "construct-composite", "bounds-json", "bounds-csv"])
+    ("spectrum", "--p", "401", "--s", "200", "--t", "200", "--mode", "multiset-dp"),
+    ("spectrum", "--p", "9", "--s", "7", "--t", "6", "--mode", "multiset-dp", "--format", "csv"),
+    ("spectrum", "--p", "9", "--s", "4", "--t", "3", "--mode", "fixed-interval-B", "--witnesses"),
+], ids=["construct-json", "construct-csv", "construct-composite", "bounds-json", "bounds-csv",
+        "multiset-dp-json", "multiset-dp-csv", "fixed-interval-json"])
 def test_construct_and_bounds_need_no_numpy(capsys, argv):
-    # numpy made unimportable: any import of it would end in a traceback and exit 1
+    # numpy made unimportable: any import of it would end in a traceback and exit 1.
+    # The multiset-dp and fixed-interval-B spectra need none either: their reports
+    # list their bits by runs
     proc = _fresh_interpreter(NO_NUMPY_MAIN, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
     code, out, err = run_cli(capsys, *argv)

@@ -25,6 +25,7 @@ from addtriples.construction import (
 from addtriples.residues import DomainError, VerificationError, interval_set, make_set
 
 from oracles import (
+    ascending_profile,
     brute_count,
     greedy_lexmax_selection,
     lexmax_selection,
@@ -97,7 +98,7 @@ class TestShiftProfile:
         assert build_shift_profile(2**31 - 1, 3).counts == {3: 1, 2: 2, 1: 2, 0: 2**31 - 6}
 
     def test_ascending_expansion(self):
-        assert build_shift_profile(11, 5).ascending() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+        assert ascending_profile(build_shift_profile(11, 5)) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
 class TestPartialSums:
@@ -134,7 +135,7 @@ class TestExtremeSums:
     def test_against_sorted_profile(self):
         for p in range(3, 32, 2):
             for t in range(1, p):
-                ordered = build_shift_profile(p, t).ascending()
+                ordered = ascending_profile(build_shift_profile(p, t))
                 for s in range(1, p):
                     assert extreme_sums(p, s, t) == (
                         sum(ordered[:s]),
@@ -202,7 +203,7 @@ class TestSelectMultisubset:
     )
     def test_matches_greedy_oracle_to_p2001(self, args):
         p, t, s, seed = args
-        ascending = build_shift_profile(p, t).ascending()
+        ascending = ascending_profile(build_shift_profile(p, t))
         r1, r2 = sum(ascending[:s]), sum(ascending[-s:])
         r = r1 - 1 + seed % (r2 - r1 + 3)  # [r1, r2] and one step outside on each side
         expected = greedy_lexmax_selection(ascending, s, r)
@@ -226,7 +227,7 @@ class TestSelectMultisubset:
         cases += [(1900, 300, "r2"), (1900, 1500, "r2"), (1900, 1500, "r2-1")]
         for s, t, where in cases:
             profile = build_shift_profile(p, t)
-            ascending = profile.ascending()
+            ascending = ascending_profile(profile)
             r1, r2 = sum(ascending[:s]), sum(ascending[-s:])
             r = {"r1": r1, "r1+1": r1 + 1, "mid": (r1 + r2) // 2, "r2-1": r2 - 1, "r2": r2}[where]
             r = min(max(r, r1), r2)
@@ -270,7 +271,7 @@ class TestRealizeSet:
         for p in range(3, 14, 2):
             for t in range(1, p):
                 profile = build_shift_profile(p, t)
-                ascending = profile.ascending()
+                ascending = ascending_profile(profile)
                 for s in range(1, p + 1):
                     for r in range(sum(ascending[:s]), sum(ascending[-s:]) + 1):
                         selection = select_multisubset(profile, s, r)
@@ -295,7 +296,7 @@ class TestRealizeSet:
         for t in (rng.randrange(2, p // 2), rng.randrange(p // 2 + 1, p - 1)):  # floor 0, 2t - p
             profile = build_shift_profile(p, t)
             floor, run = profile.floor_value, profile.counts[profile.floor_value]
-            prefix = list(accumulate(profile.ascending(), initial=0))
+            prefix = list(accumulate(ascending_profile(profile), initial=0))
             for s in (rng.randrange(2, run), rng.randrange(run, p - 1)):
                 def split(k):  # the k largest plus the s - k smallest
                     return prefix[p] - prefix[p - k] + prefix[s - k]

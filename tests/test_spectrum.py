@@ -8,14 +8,17 @@ from pathlib import Path
 import pytest
 
 from addtriples import counting, residues, spectrum
+from addtriples.bounds import lower_bound, upper_bound
 from addtriples.construction import build_shift_profile
 from addtriples.residues import DomainError, VerificationError, bit_positions, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
     _attainable_selection_sums,
+    _between,
     _check_budget,
     _distinct_profiles,
     _exhaustive_pass,
+    _selection_sums_dp,
     exception_scan,
     schur_spectrum,
     spectrum_exhaustive,
@@ -137,23 +140,25 @@ class TestSelectionSums:
             self._assert_rows_match_the_oracle(counts, sizes)
 
     @staticmethod
-    def _assert_rows_match_the_oracle(counts, sizes):
+    def _assert_rows_match_the_oracle(counts, sizes, engine=_attainable_selection_sums):
         values = [v for v, m in counts.items() for _ in range(m)]
         oracle = selection_sums(values, max(sizes))
-        rows = _attainable_selection_sums(counts, sizes)
+        rows = engine(counts, sizes)
         assert sorted(rows) == sorted(sizes), (counts, sizes)
         for c in sizes:
             assert bit_positions(rows[c]) == tuple(sorted(oracle[c])), (counts, sizes, c)
 
     @pytest.mark.parametrize("p", [7, 9, 15, 21, 31])
     def test_interval_profiles_match_the_oracle(self, p):
-        # every value strictly between the floor and t has two copies: the pair sweep
+        # every value strictly between the floor and t has two copies: the pair sweep.
+        # Interval profiles are gapless, so the dispatcher would never reach the DP
+        # core; the core is called directly
         for t in range(1, p):
             counts = build_shift_profile(p, t).counts
             for s in range(1, p):
-                self._assert_rows_match_the_oracle(counts, (s,))
-            self._assert_rows_match_the_oracle(counts, range(1, p))
-            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1))
+                self._assert_rows_match_the_oracle(counts, (s,), _selection_sums_dp)
+            self._assert_rows_match_the_oracle(counts, range(1, p), _selection_sums_dp)
+            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1), _selection_sums_dp)
 
     @pytest.mark.parametrize("p", [9, 15, 21])
     def test_random_b_histograms_match_the_oracle(self, p):
@@ -180,6 +185,64 @@ class TestSelectionSums:
             self._assert_rows_match_the_oracle(counts, (least,))
             for other in range(least + 1, total + 1):
                 self._assert_rows_match_the_oracle(counts, (least, other))
+
+
+class TestGaplessFastPath:
+    """The dispatcher's exchange-lemma rows against the DP core."""
+
+    @staticmethod
+    def _spy_on_the_core(monkeypatch):
+        calls = []
+        def spy(counts, sizes):
+            calls.append(counts)
+            return _selection_sums_dp(counts, sizes)
+
+        monkeypatch.setattr(spectrum, "_selection_sums_dp", spy)
+        return calls
+
+    def test_interval_profiles_equal_the_dp_core(self):
+        for p in range(3, 100, 2):
+            for t in range(1, p):
+                counts = build_shift_profile(p, t).counts
+                rows = _attainable_selection_sums(counts, range(1, p))
+                assert rows == _selection_sums_dp(counts, range(1, p)), (p, t)
+
+    def test_random_gapless_histograms_equal_the_dp_core(self):
+        # sizes run past the multiset's size, where both give the row 0
+        rng = random.Random("selection-sums:gapless")
+        for _ in range(3000):
+            low = rng.randint(0, 30)
+            counts = {low + i: rng.randint(1, 6) for i in range(rng.randint(1, 8))}
+            total = sum(counts.values())
+            sizes = sorted({*rng.sample(range(1, total + 3), min(total + 2, 4)), total, total + 1})
+            rows = _attainable_selection_sums(counts, sizes)
+            assert rows == _selection_sums_dp(counts, sizes), (counts, sizes)
+            assert rows[total] == 1 << sum(v * m for v, m in counts.items())
+            assert rows[total + 1] == 0
+
+    def test_gapless_histograms_skip_the_dp_core(self, monkeypatch):
+        calls = self._spy_on_the_core(monkeypatch)
+        assert _attainable_selection_sums({3: 1, 4: 5, 5: 2}, (1, 4, 8, 9)) == {
+            1: _between(3, 5), 4: _between(15, 18), 8: 1 << 33, 9: 0}
+        for p, s, t in [(9, 7, 6), (101, 30, 80), (2001, 1000, 1000)]:
+            assert spectrum_multiset_dp(p, s, t).is_exact_interval()
+        assert calls == []
+
+    def test_a_histogram_with_a_hole_reaches_the_dp_core(self, monkeypatch):
+        calls = self._spy_on_the_core(monkeypatch)
+        counts = {0: 3, 2: 2}
+        assert _attainable_selection_sums(counts, (1, 2, 3)) == {
+            1: 0b101, 2: 0b10101, 3: 0b10101}
+        assert calls == [counts]
+        rng = random.Random("selection-sums:hole")
+        while True:
+            b = rng.sample(range(21), rng.randint(2, 19))
+            counts = Counter(brute_count(21, [a], b) for a in range(21))
+            if max(counts) - min(counts) + 1 > len(counts):
+                break
+        sizes = (1, 10, 20)
+        assert _attainable_selection_sums(counts, sizes) == _selection_sums_dp(counts, sizes)
+        assert calls[1:] == [counts]
 
 
 class TestFixedInterval:
@@ -233,12 +296,15 @@ class TestMultisetDP:
 
     def test_interval_exactly_for_all_odd_p_to_99(self):
         # the DP is cheap enough to sweep every (s, t) for every odd p <= 99;
-        # this is the constructive theorem checked through a non-constructive route
+        # this is the constructive theorem checked through a non-constructive route.
+        # spectrum_multiset_dp takes the exchange-lemma path, so the DP core is
+        # called directly, once per (p, t) for every size
         for p in range(3, 100, 2):
-            for s in range(1, p):
-                for t in range(1, p):
-                    report = spectrum_multiset_dp(p, s, t)
-                    assert report.is_exact_interval(), (p, s, t, report.gaps, report.exceptions)
+            for t in range(1, p):
+                rows = _selection_sums_dp(build_shift_profile(p, t).counts, range(1, p))
+                for s in range(1, p):
+                    exact = _between(lower_bound(p, s, t), upper_bound(p, s, t))
+                    assert rows[s] == exact, (p, s, t, bit_positions(rows[s] ^ exact))
 
 
 class TestSchur:
