@@ -5,9 +5,11 @@ shift, intersection size and sumset all reduce to word-parallel integer
 operations, which stay cheap even for moduli in the thousands.
 
 A set finds its members once and caches them. By default they are unpacked
-from the bitmask with numpy, as :func:`bit_positions` does
-(:func:`pack_indicator` packs the other way), into a read-only int64 array:
-the one fast path to the members of an arbitrary set. A set built from a
+from the bitmask with numpy (:func:`pack_indicator` packs the other way)
+into a read-only int64 array: the one fast path to the members of an
+arbitrary set. (:func:`bit_positions` lists the set bits of an int run by
+run off its binary digits, without numpy; it serves bitmasks of a few long
+runs, such as a spectrum's attained values.) A set built from a
 bool indicator takes that array from the indicator. A set built from a few
 sorted, disjoint residue runs (:func:`interval_set`, and the witnesses of
 ``construct``) gets its bitmask by int arithmetic and lists its member
@@ -117,8 +119,20 @@ def _position_array(bits: int) -> np.ndarray:
 
 
 def bit_positions(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of a nonnegative int, ascending, as plain ints; () for 0."""
-    return tuple(_position_array(bits).tolist()) if bits else ()
+    """The positions of the set bits of a nonnegative int, ascending, as plain ints; () for 0.
+
+    Read run by run off the binary digits with ``str.find``, without numpy:
+    a spectrum report's bitmasks are a few long runs of set bits.
+    """
+    digits = format(bits, "b")[::-1]  # digits[r] is bit r
+    positions: list[int] = []
+    stop = 0
+    while (start := digits.find("1", stop)) >= 0:
+        stop = digits.find("0", start)
+        if stop < 0:
+            stop = len(digits)
+        positions.extend(range(start, stop))
+    return tuple(positions)
 
 
 def pack_indicator(flags: np.ndarray) -> int:

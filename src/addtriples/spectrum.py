@@ -169,23 +169,6 @@ def _between(f: int, g: int) -> int:
     return (1 << (g + 1)) - (1 << f)
 
 
-def _listed(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of a nonnegative int, ascending, without numpy.
-
-    A report's bitmasks are a few runs of set bits, so they are read run by
-    run off the binary digits with ``str.find``.
-    """
-    digits = format(bits, "b")[::-1]  # digits[r] is bit r
-    positions: list[int] = []
-    stop = 0
-    while (start := digits.find("1", stop)) >= 0:
-        stop = digits.find("0", start)
-        if stop < 0:
-            stop = len(digits)
-        positions.extend(range(start, stop))
-    return tuple(positions)
-
-
 def _make_report(
     interval: BoundsResult,
     mode: str,
@@ -201,11 +184,11 @@ def _make_report(
         s=interval.s,
         t=interval.t,
         mode=mode,
-        attained=_listed(attained),
+        attained=bit_positions(attained),
         f=f,
         g=g,
-        gaps=_listed(inside & ~attained),
-        exceptions=_listed(attained & ~inside),
+        gaps=bit_positions(inside & ~attained),
+        exceptions=bit_positions(attained & ~inside),
         prime=interval.guaranteed,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,

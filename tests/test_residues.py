@@ -227,6 +227,20 @@ class TestHelpers:
         monkeypatch.setattr(residues, "_position_array", None)
         assert bit_positions(0) == ()
 
+    def test_bit_positions_reads_runs_without_numpy(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        cases = [0, 1, 2, 0b1011, (1 << 64) - 1, 1 << 4300, (1 << 40_000) - (1 << 17)]
+        cases += [int(rng.integers(0, 1 << 62)) << int(rng.integers(0, 200)) for _ in range(300)]
+        cases += [int.from_bytes(rng.bytes(256), "little") for _ in range(20)]  # many short runs
+        expected = [residues._position_array(bits).tolist() for bits in cases]
+        monkeypatch.setattr(residues, "_position_array", None)
+        monkeypatch.setattr(residues, "np", None)
+        for bits, positions in zip(cases, expected):
+            listed = bit_positions(bits)
+            assert list(listed) == positions, bits
+            assert all(type(r) is int for r in listed)
+            assert listed == tuple(r for r in range(bits.bit_length()) if bits >> r & 1)
+
 
 class TestParams:
     def test_valid(self):
