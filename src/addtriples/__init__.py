@@ -12,7 +12,6 @@ from .bounds import (
     bounds_for,
     cauchy_davenport_check,
     lower_bound,
-    pollard_check,
     pollard_check_sweep,
     pollard_lower_at,
     schur_lower_bound,
@@ -28,8 +27,6 @@ from .construction import (
     extreme_sums,
     partial_sum_largest,
     partial_sum_smallest,
-    realize_set,
-    select_multisubset,
     shift_overlap,
 )
 from .counting import (

@@ -166,18 +166,9 @@ def pollard_sides(p: int, s: int, t: int, sizes) -> tuple[np.ndarray, np.ndarray
     return np.cumsum(lhs), j * np.minimum(p, s + t - j)
 
 
-def pollard_check(a_set: ResidueSet, b_set: ResidueSet, j: int) -> InequalityCheck:
-    """sum_{i<=j} |S_i| >= j min(p, s+t-j). Requires prime p and 1 <= j <= min(s, t)."""
-    s, t = a_set.cardinality, b_set.cardinality
-    if not 1 <= j <= min(s, t):
-        raise DomainError(f"need 1 <= j <= min(s, t) = {min(s, t)}, got j={j}")
-    p = _prime_modulus(a_set, b_set, "layer")
-    lhs, rhs = (int(side[j - 1]) for side in pollard_sides(p, s, t, layer_sizes(a_set, b_set)))
-    return InequalityCheck(lhs >= rhs, lhs, rhs)
-
-
 def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[InequalityCheck]:
-    """The layer inequality at every j = 1..min(s, t), as plain Python bools and ints."""
+    """sum_{i<=j} |S_i| >= j min(p, s+t-j) at every j = 1..min(s, t), entry j - 1 for
+    level j, as plain Python bools and ints. Requires prime p."""
     p = _prime_modulus(a_set, b_set, "layer")
     lhs, rhs = pollard_sides(p, a_set.cardinality, b_set.cardinality, layer_sizes(a_set, b_set))
     return list(map(InequalityCheck, (lhs >= rhs).tolist(), lhs.tolist(), rhs.tolist()))

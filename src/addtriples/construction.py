@@ -23,17 +23,15 @@ compared from the largest value down; on consecutive values that is the k
 largest elements, one element w, then the smallest rest, with k found by
 one bisect over those closed forms, so choosing costs O(log s) arithmetic
 and writing the chosen values costs one dict entry each, in one
-``dict.fromkeys`` (see :func:`select_multisubset`). The k largest, w and
-the smallest rest hold disjoint values, and each run of positions lies on
-at most two runs of residues, so :func:`construct` realises A as at most
-four sorted residue runs (``ResidueSet._from_runs``): its bitmask is built
-by int arithmetic and its members are listed off the runs when first read.
-It walks no value, and neither it nor the recount by
-:func:`counting.count_interval` imports numpy. :func:`realize_set` takes
-any selection dict, checks each count and sets its residues in one bool
-indicator with numpy, which stays linear in p for any selection. The
-selection rule and the residue tie-breaking here are deterministic, so a
-given (p, s, t, r) always yields the same witness set A.
+``dict.fromkeys``. The k largest, w and the smallest rest hold disjoint
+values, and each run of positions lies on at most two runs of residues, so
+:func:`construct` realises A as at most four sorted residue runs
+(``ResidueSet._from_runs``): its bitmask is built by int arithmetic and its
+members are listed off the runs when first read. It walks no value, and
+neither it nor the recount by :func:`counting.count_interval` imports
+numpy; only :func:`extreme_sums_grid` does. The selection rule and the
+residue tie-breaking here are deterministic, so a given (p, s, t, r) always
+yields the same witness set A.
 """
 
 from __future__ import annotations
@@ -194,37 +192,24 @@ def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
     return _extreme_sums(p, s, t)
 
 
-def select_multisubset(profile: ShiftProfile, s: int, r: int) -> dict[int, int]:
-    """The size-s multi-subset of the profile summing to r with the most
-    copies of each value, compared from the largest value down, as a
-    value -> count dict in descending value order.
-
-    On consecutive values this is the k largest elements, one element w,
-    then the s - k - 1 smallest elements. Write split(k) for the sum of the
-    k largest plus the s - k smallest; it grows with k. The top k elements
-    can be taken exactly while split(k) <= r, so k is the largest such k, found
-    by one bisect. No further element may reach the (k + 1)-th largest
-    value, since that would cost at least split(k + 1) > r. The largest
-    remaining element is then as large as possible when the others are the
-    smallest: w is the (s - k)-th smallest value plus r - split(k), and it
-    lies below the (k + 1)-th largest value. Partial sums and the value at a
-    position come in closed form from ``profile.p`` and ``profile.t`` alone
-    (see the module docstring); ``profile.counts`` is not read.
-
-    Raises :class:`UnattainableTargetError` when r is outside [r1, r2].
-    """
-    s = operator.index(s)
-    r = operator.index(r)
-    if not 1 <= s <= profile.p:
-        raise DomainError(f"selection size must satisfy 1 <= s <= p, got s={s}")
-    return _select(profile.p, profile.t, s, r)[0]
-
-
 def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, int, int | None]]:
-    # The ascending profile: run copies of F, two of each value in (F, t), one t.
-    # Returns the selection and its runs (k, n, w): the k largest elements, the
-    # n smallest, and w, the one element between them, or None when w is the
-    # next smallest element and so is counted in n.
+    """The size-s multi-subset of the overlap multiset summing to r with the most
+    copies of each value, compared from the largest value down, as a value ->
+    count dict in descending value order, and its runs (k, n, w): the k
+    largest elements, the n smallest, and w, the one element between them, or
+    None when w is the next smallest element and so is counted in n.
+
+    The ascending multiset is run copies of F, two of each value in (F, t),
+    and one t. Write split(k) for the sum of the k largest plus the s - k
+    smallest; it grows with k. The top k elements can be taken exactly while
+    split(k) <= r, so k is the largest such k, found by one bisect. No
+    further element may reach the (k + 1)-th largest value, since that would
+    cost at least split(k + 1) > r. The largest remaining element is then as
+    large as possible when the others are the smallest: w is the (s - k)-th
+    smallest value plus r - split(k), and it lies below the (k + 1)-th
+    largest value. Needs 1 <= s <= p; raises :class:`UnattainableTargetError`
+    when r is outside [r1, r2], the sums of the s smallest and s largest.
+    """
     floor, run = _floor_run(p, t)
     if run + 2 * (t - floor) - 1 != p:
         raise VerificationError(f"profile mass {run + 2 * (t - floor) - 1} != p = {p}")
@@ -292,66 +277,23 @@ def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, 
     return selection, (k, n, w)
 
 
-def realize_set(selection: dict[int, int], profile: ShiftProfile) -> ResidueSet:
-    """The canonical set A whose overlap multiset equals ``selection``.
-
-    ``selection`` must draw on the overlap multiset of the interval
-    B = {0..t-1} in Z_p, with p and t read from ``profile``; each count is
-    checked against the closed-form multiplicity of its value, and an
-    overdrawn value raises :class:`DomainError`. Tie-breaking: value t comes
-    from a = 0; an intermediate value v comes first from the positive
-    representative a = t - v, then from p - (t - v); the floor value takes
-    residues from its canonical run in increasing order, starting at t - F
-    (t when the floor F is 0, p - t otherwise). The residues and the floor
-    run are set in one bool indicator, which gives the set its bitmask and
-    its member array in O(p); :func:`construct` sets the same residues as
-    runs instead (see :func:`_realize_runs`).
-
-    The ``profile`` parameter stays, although only ``profile.p`` and
-    ``profile.t`` are read: callers pass the profile they drew the selection
-    from with :func:`select_multisubset`, which takes it the same way, and
-    taking (p, t) instead would change both public signatures for no gain
-    (:func:`construct` calls neither and builds no profile).
-    """
-    p, t = profile.p, profile.t
-    floor, run = _floor_run(p, t)
-    residues = []
-    floor_range = (0, 0)
-    for v, c in selection.items():
-        c = operator.index(c)
-        have = 1 if v == t else run if v == floor else 2 if floor < v < t else 0
-        if c < 0 or c > have:
-            raise DomainError(f"selection takes {c} copies of value {v}, profile has {have}")
-        if c == 0:
-            continue
-        if v == t:
-            residues.append(0)
-        elif v > floor:
-            residues.append(t - v)
-            if c == 2:
-                residues.append(p - (t - v))
-        else:
-            floor_range = (t - floor, t - floor + c)
-    flags = np.zeros(max(floor_range[1], max(residues, default=-1) + 1), dtype=bool)
-    flags[residues] = True
-    flags[slice(*floor_range)] = True
-    return ResidueSet._from_indicator(p, flags)
-
-
 def _realize_runs(p: int, t: int, k: int, n: int, w: int | None) -> ResidueSet:
-    """The set :func:`realize_set` gives for the selection of runs (k, n, w), as at most
-    four sorted residue runs, with no numpy and no per-value pass.
+    """The canonical set A realising the selection of runs (k, n, w) from :func:`_select`,
+    as at most four sorted residue runs, with no numpy and no per-value pass.
 
-    Residue a has overlap max(t - |a|, F), |a| its symmetric magnitude, so
-    the tie-break puts the values on the residues in order: t on 0, the
-    first copies of t - 1, ..., F + 1 on 1, ..., t - F - 1, the floor run on
-    t - F, ..., p - t + F, and the second copies of F + 1, ..., t - 1 on
-    p - t + F + 1, ..., p - 1. So the k largest are the residues nearest 0
-    on both sides, one more on the first-copy side when k is even, reaching
-    into the floor run once k > 2(t - F) - 1; the n smallest are the floor
-    run, or its first n residues, widened on both sides, one more on the
-    first-copy side when n - run is odd; w alone is t - w. A value taken
-    once gets its first copy, as :func:`realize_set` gives it.
+    Tie-breaking: value t comes from a = 0; an intermediate value v comes
+    first from the positive representative a = t - v, then from p - (t - v);
+    the floor value takes residues from its run in increasing order,
+    starting at t - F (t when the floor F is 0, p - t otherwise). Residue a
+    has overlap max(t - |a|, F), |a| its symmetric magnitude, so the
+    tie-break puts the values on the residues in order: t on 0, the first
+    copies of t - 1, ..., F + 1 on 1, ..., t - F - 1, the floor run on t -
+    F, ..., p - t + F, and the second copies of F + 1, ..., t - 1 on p - t +
+    F + 1, ..., p - 1. So the k largest are the residues nearest 0 on both
+    sides, one more on the first-copy side when k is even, reaching into the
+    floor run once k > 2(t - F) - 1; the n smallest are the floor run, or
+    its first n residues, widened on both sides, one more on the first-copy
+    side when n - run is odd; w alone is t - w, the first copy of its value.
     """
     floor, run = _floor_run(p, t)
     edge = t - floor  # the first residue of the floor run
@@ -385,13 +327,15 @@ class ConstructionWitness:
 def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     """Build A with r(A, B, B) = r for B = {0..t-1}; works for every odd p.
 
-    The selection and its realisation come from (p, t) in closed form, with
-    no profile built: the selection's runs are set as residue runs (see
-    :func:`select_multisubset` and the module docstring). The achieved
-    count is recomputed from the bitmask of A by
-    :func:`counting.count_interval`, in closed form over its runs of
-    members, before the witness is returned; a mismatch would be a bug and
-    raises :class:`VerificationError`. No step imports numpy.
+    The selection (:func:`_select`) and its realisation
+    (:func:`_realize_runs`) come from (p, t) in closed form, with no profile
+    built: the selection's runs are set as residue runs (see the module
+    docstring). ``selection`` holds the overlap values of A as a value ->
+    count dict in descending value order. The achieved count is recomputed
+    from the bitmask of A by :func:`counting.count_interval`, in closed form
+    over its runs of members, before the witness is returned; a mismatch
+    would be a bug and raises :class:`VerificationError`. No step imports
+    numpy.
     """
     params = Params(p, s, t)
     r = operator.index(r)

@@ -473,8 +473,8 @@ def exception_scan(p_min: int, p_max: int, budget: int = DEFAULT_PAIR_BUDGET) ->
     records: list[ExceptionRecord] = []
     skipped: list[tuple[int, int, int]] = []
     instances = 0
-    for p in range(p_min | 1, p_max + 1, 2):
-        if p < 9 or is_prime(p):
+    for p in range(max(p_min, 9) | 1, p_max + 1, 2):  # 9 is the least odd composite
+        if is_prime(p):
             continue
         log_comb = [_log_comb(p, k) for k in range(p)]  # each log C(p, k) once per modulus
         for t in range(1, p):

@@ -168,23 +168,20 @@ class TestInequalityChecks:
 
     def test_pollard_examples(self):
         two = make_set(5, [0, 1])
-        assert bounds.pollard_check(two, two, 2) == (True, 4, 4)
+        assert bounds.pollard_check_sweep(two, two)[2 - 1] == (True, 4, 4)
         three = make_set(5, [0, 1, 2])
-        assert bounds.pollard_check(three, three, 3) == (True, 9, 9)
+        assert bounds.pollard_check_sweep(three, three)[3 - 1] == (True, 9, 9)
 
     def test_pollard_j1_is_cauchy_davenport(self):
         a = make_set(11, [0, 2, 3, 7])
         b = make_set(11, [1, 4, 5])
-        pol = bounds.pollard_check(a, b, 1)
+        pol = bounds.pollard_check_sweep(a, b)[0]
         cd = bounds.cauchy_davenport_check(a, b)
         assert (pol.lhs, pol.rhs) == (cd.lhs, cd.rhs)
 
     def test_pollard_domain(self):
-        two = make_set(5, [0, 1])
         with pytest.raises(DomainError):
-            bounds.pollard_check(two, two, 3)
-        with pytest.raises(DomainError):
-            bounds.pollard_check(make_set(9, [0, 1]), make_set(9, [0, 1]), 1)
+            bounds.pollard_check_sweep(make_set(9, [0, 1]), make_set(9, [0, 1]))
 
     def test_sweep(self):
         a = make_set(13, [0, 1, 5, 11])

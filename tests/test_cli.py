@@ -164,6 +164,17 @@ class TestScan:
         assert code == 1 and out == ""
         assert "2^31-1" in err and "Traceback" not in err
 
+    def test_negative_p_min_walks_no_modulus_below_9(self, capsys):
+        # p_min is echoed as given, but the walk starts at 9, the least odd composite,
+        # rather than stepping through about 10^9 smaller values (20 s before).
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "scan", "--p-min", "-2147483647", "--p-max", "9",
+                                 "--budget", "1")
+        assert time.perf_counter() - started < 2.0
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "db889a5516ed29fe6b8f3525839fc3ec33b2ddbce5aade18f767a4c69f856b01"
+
     def test_nonpositive_budget_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--p-min", "9", "--p-max", "15",
                                  "--budget", "-5")

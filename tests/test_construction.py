@@ -18,8 +18,6 @@ from addtriples.construction import (
     extreme_sums_grid,
     partial_sum_largest,
     partial_sum_smallest,
-    realize_set,
-    select_multisubset,
     shift_overlap,
 )
 from addtriples.residues import DomainError, VerificationError, interval_set, make_set
@@ -161,18 +159,24 @@ def construction_instances():
     )
 
 
+def selection_of(p, s, t, r):
+    # construct's selection for s <= p - 1; at s = p, which construct refuses, the
+    # selection rule it runs.
+    return construct(p, s, t, r).selection if s < p else _select(p, t, s, r)[0]
+
+
 class TestSelectMultisubset:
     def test_examples(self):
-        profile = build_shift_profile(11, 5)
-        assert select_multisubset(profile, 4, 7) == {5: 1, 2: 1, 0: 2}
-        assert select_multisubset(profile, 4, 2) == {1: 2, 0: 2}
-        assert select_multisubset(build_shift_profile(9, 6), 7, 30) == {6: 1, 5: 2, 4: 2, 3: 2}
+        assert selection_of(11, 4, 5, 7) == {5: 1, 2: 1, 0: 2}
+        assert selection_of(11, 4, 5, 2) == {1: 2, 0: 2}
+        assert selection_of(9, 7, 6, 30) == {6: 1, 5: 2, 4: 2, 3: 2}
+        assert selection_of(9, 9, 6, 36) == {6: 1, 5: 2, 4: 2, 3: 4}  # s = p: all of it
 
     def test_unattainable_target(self):
-        profile = build_shift_profile(9, 6)
-        with pytest.raises(UnattainableTargetError) as excinfo:
-            select_multisubset(profile, 7, 24)
-        assert (excinfo.value.r1, excinfo.value.r2) == (25, 30)
+        for s, r, interval in [(7, 24, (25, 30)), (9, 35, (36, 36)), (9, 37, (36, 36))]:
+            with pytest.raises(UnattainableTargetError) as excinfo:
+                selection_of(9, s, 6, r)
+            assert (excinfo.value.r1, excinfo.value.r2) == interval
 
     def test_matches_lexmax_oracle_for_every_target_to_p13(self):
         # The overlap multiset comes from brute_count, not from the profile builder.
@@ -180,16 +184,15 @@ class TestSelectMultisubset:
             for t in range(1, p):
                 counts = Counter(brute_count(p, [a], range(t)) for a in range(p))
                 ascending = sorted(counts.elements())
-                profile = build_shift_profile(p, t)
                 for s in range(1, p + 1):
                     r1, r2 = sum(ascending[:s]), sum(ascending[-s:])
                     for r in range(r1, r2 + 1):
-                        selection = select_multisubset(profile, s, r)
+                        selection = selection_of(p, s, t, r)
                         expected = lexmax_selection(counts, s, r)
                         assert list(selection.items()) == list(expected.items()), (p, s, t, r)
                     for r in (r1 - 1, r2 + 1):
                         with pytest.raises(UnattainableTargetError):
-                            select_multisubset(profile, s, r)
+                            selection_of(p, s, t, r)
 
     @given(
         st.integers(min_value=1, max_value=1000).flatmap(
@@ -209,9 +212,9 @@ class TestSelectMultisubset:
         expected = greedy_lexmax_selection(ascending, s, r)
         if expected is None:
             with pytest.raises(UnattainableTargetError):
-                select_multisubset(build_shift_profile(p, t), s, r)
+                selection_of(p, s, t, r)
         else:
-            selection = select_multisubset(build_shift_profile(p, t), s, r)
+            selection = selection_of(p, s, t, r)
             assert list(selection.items()) == list(expected.items()), (p, s, t, r)
 
     def test_matches_greedy_oracle_at_edges(self):
@@ -232,7 +235,7 @@ class TestSelectMultisubset:
             r = {"r1": r1, "r1+1": r1 + 1, "mid": (r1 + r2) // 2, "r2-1": r2 - 1, "r2": r2}[where]
             r = min(max(r, r1), r2)
             expected = greedy_lexmax_selection(ascending, s, r)
-            selection = select_multisubset(profile, s, r)
+            selection = selection_of(p, s, t, r)
             assert list(selection.items()) == list(expected.items()), (p, s, t, r)
             if s == 1900 and where == "r2":  # the s largest, floor copies and all
                 assert selection[profile.floor_value] == s - (2 * (t - profile.floor_value) - 1)
@@ -243,52 +246,45 @@ class TestSelectMultisubset:
         profile = build_shift_profile(p, t)
         r1, r2 = extreme_sums(p, s, t)
         r = r1 + seed % (r2 - r1 + 1)
-        selection = select_multisubset(profile, s, r)
+        selection = construct(p, s, t, r).selection
         assert sum(selection.values()) == s
         assert sum(v * c for v, c in selection.items()) == r
         assert all(0 < c <= profile.counts[v] for v, c in selection.items())
 
 
 class TestRealizeSet:
+    # construct realises its selection as the canonical set A of the tie-break
+    # rule that realized_elements spells out value by value.
     def test_examples(self):
-        profile = build_shift_profile(11, 5)
-        assert realize_set({5: 1, 2: 1, 0: 2}, profile).elements() == (0, 3, 5, 6)
-        assert realize_set({5: 1}, profile).elements() == (0,)
-        assert realize_set({0: 3}, build_shift_profile(11, 4)).elements() == (4, 5, 6)
+        assert construct(11, 4, 5, 7).a_set.elements() == (0, 3, 5, 6)
+        w = construct(11, 1, 5, 5)
+        assert (w.selection, w.a_set.elements()) == ({5: 1}, (0,))
+        w = construct(11, 3, 4, 0)
+        assert (w.selection, w.a_set.elements()) == ({0: 3}, (4, 5, 6))
 
     def test_all_zero_overlap_shifts(self):
         p, t = 13, 4
-        a = realize_set({0: p - 2 * t + 1}, build_shift_profile(p, t))
-        assert a.elements() == tuple(range(t, p - t + 1))
-
-    def test_rejects_overdrawn_selection(self):
-        with pytest.raises(DomainError):
-            realize_set({5: 2}, build_shift_profile(11, 5))
+        w = construct(p, p - 2 * t + 1, t, 0)
+        assert w.selection == {0: p - 2 * t + 1}
+        assert w.a_set.elements() == tuple(range(t, p - t + 1))
 
     def test_matches_element_list_oracle_for_every_target_to_p13(self):
-        # realize_set and construct's run realisation (s < p) against the oracle;
         # t runs on both sides of 2t = p, so the floor run starts at t and at p - t
         for p in range(3, 14, 2):
             for t in range(1, p):
-                profile = build_shift_profile(p, t)
-                ascending = ascending_profile(profile)
-                for s in range(1, p + 1):
+                ascending = ascending_profile(build_shift_profile(p, t))
+                for s in range(1, p):
                     for r in range(sum(ascending[:s]), sum(ascending[-s:]) + 1):
-                        selection = select_multisubset(profile, s, r)
-                        expected = realized_elements(selection, p, t)
-                        assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
-                        if s < p:
-                            assert construct(p, s, t, r).a_set.elements() == expected, (p, s, t, r)
+                        w = construct(p, s, t, r)
+                        assert w.a_set.elements() == realized_elements(w.selection, p, t), \
+                            (p, s, t, r)
         # and at a large modulus, at r1, the midpoint and r2
         p = 10**5 + 1
         for s, t in [(50000, 50000), (20000, 30000), (50000, 50001), (70000, 80000), (1, 99999)]:
-            profile = build_shift_profile(p, t)
             r1, r2 = extreme_sums(p, s, t)
             for r in (r1, (r1 + r2) // 2, r2):
-                selection = select_multisubset(profile, s, r)
-                expected = realized_elements(selection, p, t)
-                assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
-                assert construct(p, s, t, r).a_set.elements() == expected, (p, s, t, r)
+                w = construct(p, s, t, r)
+                assert w.a_set.elements() == realized_elements(w.selection, p, t), (p, s, t, r)
         # and at p = 2^20 + 1, seeded (s, t, r) that meet every run shape in both floor regimes
         p = 2**20 + 1
         rng = random.Random(20)
@@ -305,10 +301,10 @@ class TestRealizeSet:
                 k = rng.randrange(1, min(s, p - run, max(2, s - run)))
                 between = (split(k) + split(k + 1)) // 2
                 for r in sorted({split(0), split(s), split(k), split(k + 1), between}):
-                    selection = select_multisubset(profile, s, r)
-                    expected = realized_elements(selection, p, t)
-                    assert realize_set(selection, profile).elements() == expected, (p, s, t, r)
-                    assert construct(p, s, t, r).a_set.elements() == expected, (p, s, t, r)
+                    witness = construct(p, s, t, r)
+                    selection = witness.selection
+                    assert witness.a_set.elements() == realized_elements(selection, p, t), \
+                        (p, s, t, r)
                     k_run, n, w = _select(p, t, s, r)[1]
                     top = n and (floor if n <= run else floor + (n - run + 1) // 2)
                     shapes.add((floor > 0, "k = 0" if k_run == 0 else "k = s" if k_run == s
@@ -322,17 +318,15 @@ class TestRealizeSet:
     @given(construction_instances())
     def test_realised_overlaps_match_selection(self, args):
         p, s, t, seed = args
-        profile = build_shift_profile(p, t)
         r1, r2 = extreme_sums(p, s, t)
         r = r1 + seed % (r2 - r1 + 1)
-        selection = select_multisubset(profile, s, r)
-        a = realize_set(selection, profile)
-        assert a.cardinality == s
+        w = construct(p, s, t, r)
+        assert w.a_set.cardinality == s
         observed: dict[int, int] = {}
-        for elem in a:
+        for elem in w.a_set:
             v = shift_overlap(p, t, elem)
             observed[v] = observed.get(v, 0) + 1
-        assert observed == selection
+        assert observed == w.selection
 
 
 class TestConstruct:
@@ -367,15 +361,11 @@ class TestConstruct:
 
     def test_realises_its_runs_without_a_per_value_pass(self):
         # At p = 2^20 + 1 and s = t = 2^19 the selection holds 2^18 + 1 values.
-        # construct sets its runs as O(1) residue ranges; realize_set checks each
-        # value and lists its residues. Both build the same selection dict, and
-        # construct also recounts its witness, so its traced peak reaching 90% of
-        # select_multisubset + realize_set's means a per-value pass is back (it
-        # was 100% with one and 78% with the runs set in a bool indicator; 41%
-        # with sorted residue runs and the selection built as one dict, on
-        # CPython 3.11).
+        # construct sets its runs as O(1) residue ranges and recounts them, so its
+        # traced peak is the selection's: 280 B above _select's alone on CPython
+        # 3.11. A per-value pass that lists A's residues costs over 4p bytes, so a
+        # peak p bytes above _select's means one is back.
         p, s, t = 2**20 + 1, 2**19, 2**19
-        profile = build_shift_profile(p, t)
         r = extreme_sums(p, s, t)[1]
 
         def traced_peak(build):
@@ -386,13 +376,13 @@ class TestConstruct:
             finally:
                 tracemalloc.stop()
 
-        per_value = traced_peak(lambda: realize_set(select_multisubset(profile, s, r), profile))
+        selection = traced_peak(lambda: _select(p, t, s, r))
         runs = traced_peak(lambda: construct(p, s, t, r))
-        assert runs < 0.9 * per_value, (runs, per_value)
+        assert runs < selection + p, (runs, selection)
 
-    def test_realize_set_and_count_interval_stay_linear_in_p(self):
+    def test_construct_and_count_interval_stay_linear_in_p(self):
         # From p ~ 2^18 to p ~ 2^20 linear work takes about 4x the time and quadratic
-        # work about 16x; 8x is the line. Each time is the best of three. realize_set
+        # work about 16x; 8x is the line. Each time is the best of three. construct
         # gets s = t = (p - 1)/2 at the midpoint target; count_interval gets its worst
         # case, the even residues (the most runs) against B = {0..p-2}, whose two
         # windows cover all of Z_p.
@@ -407,13 +397,12 @@ class TestConstruct:
         times = {}
         for p in (2**18 + 1, 2**20 + 1):
             s = t = (p - 1) // 2
-            profile = build_shift_profile(p, t)
-            selection = select_multisubset(profile, s, sum(extreme_sums(p, s, t)) // 2)
+            r = sum(extreme_sums(p, s, t)) // 2
             alternating, b = make_set(p, range(0, p, 2)), interval_set(p, p - 1)
-            times[p] = (best_time(lambda: realize_set(selection, profile)),
+            times[p] = (best_time(lambda: construct(p, s, t, r)),
                         best_time(lambda: counting.count_interval(alternating, b)))
         small, large = times.values()
-        assert large[0] < 8 * small[0], ("realize_set", times)
+        assert large[0] < 8 * small[0], ("construct", times)
         assert large[1] < 8 * small[1], ("count_interval", times)
 
     def test_recount_disagreement_raises(self, monkeypatch):
