@@ -9,16 +9,17 @@ times are only included when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import operator
 import sys
-from itertools import chain
+from itertools import chain, product
 
 from . import counting, verify
 from .bounds import bounds_for
 from .construction import construct
-from .residues import DomainError, VerificationError, make_set
+from .residues import DomainError, IntRuns, VerificationError, make_set
 from .spectrum import (
     DEFAULT_PAIR_BUDGET,
     BudgetExceededError,
@@ -149,9 +150,9 @@ def _spectrum_output(report: SpectrumReport, timing: bool):
         "f": report.f,
         "g": report.g,
         "prime": report.prime,
-        "attained": list(report.attained),
-        "gaps": list(report.gaps),
-        "exceptions": list(report.exceptions),
+        "attained": report.attained,
+        "gaps": report.gaps,
+        "exceptions": report.exceptions,
     }
     if report.witnesses is not None:
         payload["witnesses"] = _witness_rows(report.witnesses)
@@ -161,9 +162,9 @@ def _spectrum_output(report: SpectrumReport, timing: bool):
 
 
 def _csv_row(payload: dict) -> dict:
-    """A CSV row from a JSON payload: witnesses and elapsed dropped, lists joined with ';'."""
+    """A CSV row from a JSON payload: witnesses and elapsed dropped, int lists and runs joined with ';'."""
     return {
-        key: ";".join(map(str, value)) if isinstance(value, list) else value
+        key: _joined(value, ";") if isinstance(value, (list, IntRuns)) else value
         for key, value in payload.items()
         if key not in ("witnesses", "elapsed")
     }
@@ -198,7 +199,7 @@ def _run_construct(args):
     payload = {
         "p": witness.p, "s": witness.s, "t": witness.t,
         "target_r": witness.target_r, "achieved_r": witness.achieved_r,
-        "witness_a": list(witness.a_set), "witness_b": list(witness.b_set),
+        "witness_a": IntRuns(witness.a_set.runs()), "witness_b": IntRuns(witness.b_set.runs()),
         "selection": list(map(list, witness.selection.items())),  # descending by contract
     }
     return payload, EXIT_OK
@@ -268,8 +269,8 @@ def _count_rows(payload: dict) -> list[dict]:
 
 def _construct_rows(payload: dict) -> list[dict]:
     row = {key: payload[key] for key in ("p", "s", "t", "target_r", "achieved_r")}
-    row["witness_a"] = " ".join(map(str, payload["witness_a"]))
-    row["witness_b"] = " ".join(map(str, payload["witness_b"]))
+    row["witness_a"] = _joined(payload["witness_a"], " ")
+    row["witness_b"] = _joined(payload["witness_b"], " ")
     return [row]
 
 
@@ -300,19 +301,24 @@ _COMMANDS = {  # command -> (runner returning (payload, exit code), CSV rows of 
 
 
 def render_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, with every
+    :class:`IntRuns` in ``payload`` written as the list of its ints.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set. Here only the containers are walked in Python: strings go through
     json's own string encoder, ints through ``str``, other scalars through
-    ``json.dumps``. A list of plain ints is written by one ``%`` format: a
+    ``json.dumps``. An ``IntRuns`` (the runs a payload holds by construction:
+    ``construct``'s witnesses, a spectrum's values) is written run by run in
+    blocks of a thousand ints by :func:`_write_runs`, with no int object per
+    item. A list of plain ints is written by one ``%`` format: a
     template with one ``%d`` per item and the indented separators between
     them, applied to the tuple of the items. A list of non-empty lists of
     plain ints (``selection``, the ``skipped`` rows of ``scan``) joins one
     such row template per row, built once per distinct row length, and
     applies ``%`` once to all the ints. ``'%d' % x`` is ``str(x)`` for an
     exact int, and raises the same ``ValueError`` past the int -> str digit
-    limit. Dict keys must be strings, as in every payload the CLI builds.
+    limit, as the block writer does. Dict keys must be strings, as in every
+    payload the CLI builds.
     """
     return _render(payload, "\n") + "\n"
 
@@ -359,7 +365,71 @@ def _render(value, pad: str) -> str:
             return ("[" + inner + body + pad + "]") % tuple(chain.from_iterable(value))
         parts = (_render(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if type(value) is IntRuns:
+        if not value:
+            return "[]"
+        out = ["[" + inner]
+        _write_runs(value.runs, "," + inner, out)
+        out.append(pad + "]")
+        return "".join(out)
     return json.dumps(value)
+
+
+@functools.lru_cache(maxsize=8)  # the CLI writes with three separators
+def _int_blocks(sep: str) -> tuple[tuple[str, ...], str]:
+    """The block writer's cached text for one separator, built on its first use:
+    the thousand items "000" + sep, ..., "999" + sep, and the text of the
+    ints 0, 1, ..., 999, each followed by ``sep``."""
+    digits = "0123456789"
+    tails = tuple(map("".join, product(digits, digits, digits, (sep,))))
+    head = "".join(chain((tail[2:] for tail in tails[:10]), (tail[1:] for tail in tails[10:100]),
+                         tails[100:]))  # 0..99 without their leading zeros
+    return tails, head
+
+
+def _head_offset(i: int, width: int) -> int:
+    """Where int i (0 <= i <= 1000) starts in the text of 0..999, each followed by
+    a separator of ``width`` characters: i separators and the digits of 0..i-1."""
+    return i * width + (i if i <= 10 else 2 * i - 10 if i <= 100 else 3 * i - 110)
+
+
+def _write_runs(runs, sep: str, out: list[str]) -> None:
+    """Append to ``out`` the text of the ints of the half-open ``runs``, joined by ``sep``.
+
+    The ints go in blocks of a thousand. Block q >= 1 holds 1000q + k for
+    0 <= k < 1000, whose text is str(q) then k in three digits, so for its
+    items i..j-1 ``str(q) + str(q).join(tails[i:j])`` is their text, each
+    followed by ``sep``; block 0 is one slice of the cached text of 0..999.
+    A run costs O(its blocks) Python steps plus copying its text, with no int
+    object per item. Runs are nonnegative, ascending and disjoint.
+    """
+    tails, head = _int_blocks(sep)
+    width = len(sep)
+    written = len(out)
+    for start, stop in runs:
+        str(stop - 1)  # the largest item: ValueError past the digit limit, as json.dumps
+        q, i = divmod(start, 1000)
+        last, j = divmod(stop - 1, 1000)
+        while q <= last:
+            end = j + 1 if q == last else 1000
+            if q:
+                high = str(q)
+                out.append(high)
+                out.append(high.join(tails if end - i == 1000 else tails[i:end]))
+            else:
+                out.append(head[_head_offset(i, width):_head_offset(end, width)])
+            q, i = q + 1, 0
+    if len(out) > written:  # no separator after the last int
+        out[-1] = out[-1][:len(out[-1]) - width]
+
+
+def _joined(values, sep: str) -> str:
+    """The ints of ``values`` joined by ``sep``; an :class:`IntRuns` by :func:`_write_runs`."""
+    if type(values) is IntRuns:
+        out: list[str] = []
+        _write_runs(values.runs, sep, out)
+        return "".join(out)
+    return sep.join(map(str, values))
 
 
 def render_csv(rows: list[dict]) -> str:

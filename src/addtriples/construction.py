@@ -26,8 +26,9 @@ and writing the chosen values costs one dict entry each, in one
 ``dict.fromkeys``. The k largest, w and the smallest rest hold disjoint
 values, and each run of positions lies on at most two runs of residues, so
 :func:`construct` realises A as at most four sorted residue runs
-(``ResidueSet._from_runs``): its bitmask is built by int arithmetic and its
-members are listed off the runs when first read. It walks no value, and
+(``ResidueSet._from_runs``): its bitmask is built by int arithmetic, and it
+keeps the runs, which :meth:`ResidueSet.runs` hands to the CLI, so its
+members are listed only if a caller iterates it. It walks no value, and
 neither it nor the recount by :func:`counting.count_interval` imports
 numpy; only :func:`extreme_sums_grid` does. The selection rule and the
 residue tie-breaking here are deterministic, so a given (p, s, t, r) always

@@ -7,14 +7,16 @@ operations, which stay cheap even for moduli in the thousands.
 A set finds its members once and caches them. By default they are unpacked
 from the bitmask with numpy (:func:`pack_indicator` packs the other way)
 into a read-only int64 array: the one fast path to the members of an
-arbitrary set. (:func:`bit_positions` lists the set bits of an int run by
-run off its binary digits, without numpy; it serves bitmasks of a few long
-runs, such as a spectrum's attained values.) A set built from a
+arbitrary set. (:func:`bit_runs` reads the runs of set bits of an int off
+its binary digits, without numpy, and :class:`IntRuns` holds such runs as
+a sequence of ints: they serve bitmasks of a few long runs, such as a
+spectrum's attained values.) A set built from a
 bool indicator takes that array from the indicator. A set built from a few
 sorted, disjoint residue runs (:func:`interval_set`, and the witnesses of
-``construct``) gets its bitmask by int arithmetic and lists its member
-tuple off the runs on first read, so it needs no numpy; numpy itself is
-imported on first use (see :class:`NumpyOnFirstUse`). Moduli are odd and at least 3. Empty
+``construct``) gets its bitmask by int arithmetic, keeps its runs for
+:meth:`ResidueSet.runs` and lists its member tuple off them on first read,
+so it needs no numpy; numpy itself is imported on first use (see
+:class:`NumpyOnFirstUse`). Moduli are odd and at least 3. Empty
 sets are legal here; cardinality constraints such as 1 <= s, t <= p-1 are
 enforced only at the :class:`Params` boundary.
 """
@@ -22,6 +24,8 @@ enforced only at the :class:`Params` boundary.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, starmap
@@ -118,21 +122,98 @@ def _position_array(bits: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int64, copy=False)
 
 
-def bit_positions(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of a nonnegative int, ascending, as plain ints; () for 0.
+def bit_runs(bits: int) -> tuple[tuple[int, int], ...]:
+    """The maximal runs [start, stop) of set bits of a nonnegative int, ascending; () for 0.
 
-    Read run by run off the binary digits with ``str.find``, without numpy:
-    a spectrum report's bitmasks are a few long runs of set bits.
+    Read off the binary digits with ``str.find``, without numpy: a C-level
+    scan plus O(runs) Python steps. The one routine here that finds runs.
     """
     digits = format(bits, "b")[::-1]  # digits[r] is bit r
-    positions: list[int] = []
+    runs = []
     stop = 0
     while (start := digits.find("1", stop)) >= 0:
         stop = digits.find("0", start)
         if stop < 0:
             stop = len(digits)
-        positions.extend(range(start, stop))
-    return tuple(positions)
+        runs.append((start, stop))
+    return tuple(runs)
+
+
+def bit_positions(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative int, ascending, as plain ints; () for 0.
+
+    The runs of :func:`bit_runs`, flattened: cheap for a few long runs of
+    set bits, such as a spectrum's attained values.
+    """
+    return tuple(chain.from_iterable(starmap(range, bit_runs(bits))))
+
+
+class IntRuns(Sequence):
+    """An ascending sequence of distinct nonnegative ints, held as half-open runs.
+
+    ``runs`` is the tuple of the maximal runs (start, stop), ascending, so
+    equal sequences hold equal runs. The sequence iterates, counts, indexes
+    and compares as the tuple of its ints: it equals a tuple with the same
+    items, and hashes as one. Lengths, membership and equality between two
+    of them take O(runs) steps; nothing but iteration lists the ints.
+    """
+
+    __slots__ = ("runs", "_length")
+
+    def __init__(self, runs: Iterable[tuple[int, int]] = ()) -> None:
+        merged: list[tuple[int, int]] = []
+        last = 0
+        for start, stop in runs:
+            start, stop = operator.index(start), operator.index(stop)
+            if not last <= start <= stop:
+                raise DomainError(f"runs must be nonnegative, sorted and disjoint: "
+                                  f"[{start}, {stop}) follows one ending at {last}")
+            if start == stop:
+                continue
+            if merged and merged[-1][1] == start:  # adjacent: one maximal run
+                start = merged.pop()[0]
+            merged.append((start, stop))
+            last = stop
+        self.runs = tuple(merged)
+        self._length = sum(stop - start for start, stop in merged)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(starmap(range, self.runs))
+
+    def __contains__(self, value) -> bool:
+        if not isinstance(value, int):
+            return value in tuple(self)
+        at = bisect_right(self.runs, value, key=operator.itemgetter(0))  # runs starting at or below
+        return at > 0 and value < self.runs[at - 1][1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = operator.index(index)
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("IntRuns index out of range")
+        for start, stop in self.runs:
+            if index < stop - start:
+                return start + index
+            index -= stop - start
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IntRuns):
+            return self.runs == other.runs
+        if isinstance(other, tuple):
+            return len(other) == self._length and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"IntRuns({list(self.runs)!r})"
 
 
 def pack_indicator(flags: np.ndarray) -> int:
@@ -200,22 +281,29 @@ class ResidueSet:
 
         The bitmask is built by int arithmetic, one mask per run, so its cost
         is O(len(runs) * p / 64) word operations: this is for sets of a few
-        runs. The member tuple is listed off the runs when it is first read,
-        without numpy. Raises :class:`DomainError` unless
+        runs. The runs are kept, merged where adjacent and without empty ones,
+        for :meth:`runs`, and the member tuple is listed off them when it is
+        first read, without numpy. Raises :class:`DomainError` unless
         0 <= start <= stop <= next start <= ... <= p, so that the bitmask and
         the members agree.
         """
-        runs = tuple(runs)
-        bits = last = 0
+        runs = IntRuns(runs).runs  # checks 0 <= start <= stop <= next start
+        bits = 0
         for start, stop in runs:
-            if not last <= start <= stop:
-                raise DomainError(f"residue runs must be sorted and disjoint: "
-                                  f"[{start}, {stop}) follows one ending at {last}")
             bits |= (1 << stop) - (1 << start)
-            last = stop
         made = cls(modulus, bits)  # checks stop <= p
-        made.__dict__["_runs"] = runs  # read by _members
+        made.__dict__["_runs"] = runs  # read by runs and _members
         return made
+
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The maximal runs [start, stop) of members, ascending, as :func:`bit_runs` reads them.
+
+        A set built from runs hands back the runs it keeps, in O(1); any other
+        set is scanned from its bitmask on each call, in O(p) C-level steps
+        plus O(runs) Python steps, and keeps nothing.
+        """
+        runs = self.__dict__.get("_runs")
+        return bit_runs(self.bits) if runs is None else runs
 
     @cached_property
     def _member_array(self) -> np.ndarray:

@@ -34,10 +34,13 @@ such pass per (p, t) for all its sizes s.
 Every mode hands its attained values to the report as one bitmask, and the
 report reads the attained values, the gaps inside the closed-form interval
 [f, g] and any exceptional values outside it off that bitmask, run by run
-from its binary digits, without numpy. The three (p, s, t) modes take f,
-g and primality from one ``bounds_for`` call, which validates the instance
-once. For prime p there are provably no gaps and no exceptions; for
-composite odd p exceptions exist (the scanner below hunts for them). An exhaustive witness takes the
+from its binary digits, without numpy. It holds each as an ``IntRuns``, a
+sequence of ints kept as its runs, so an interval spectrum of any length is
+one run and its values are never listed unless a caller iterates them. The
+three (p, s, t) modes take f, g and primality from one ``bounds_for`` call,
+which validates the instance once. For prime p there are provably no gaps
+and no exceptions; for composite odd p exceptions exist (the scanner below
+hunts for them). An exhaustive witness takes the
 lex-first t-set B containing 0 that attains the value, then the lex-first
 s-set A for that B, and is recounted by the naive counting oracle before it
 is returned; the scanner makes witnesses for its exceptions only. (``construct``'s
@@ -73,6 +76,7 @@ from .bounds import (
 from .construction import build_shift_profile, shift_overlap
 from .residues import (
     DomainError,
+    IntRuns,
     InvalidModulusError,
     MAX_MODULUS,
     NumpyOnFirstUse,
@@ -80,6 +84,7 @@ from .residues import (
     ResidueSet,
     VerificationError,
     bit_positions,
+    bit_runs,
     is_prime,
     make_set,
 )
@@ -144,17 +149,21 @@ def _check_budget(budget: int, *choices: tuple[int, int]) -> None:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Attained values for one instance, with bounds, gaps and exceptions."""
+    """Attained values for one instance, with bounds, gaps and exceptions.
+
+    ``attained``, ``gaps`` and ``exceptions`` are ascending :class:`IntRuns`,
+    each equal to the tuple of its values.
+    """
 
     p: int
     s: int
     t: int
     mode: str
-    attained: tuple[int, ...]
+    attained: IntRuns
     f: int
     g: int
-    gaps: tuple[int, ...]
-    exceptions: tuple[int, ...]
+    gaps: IntRuns
+    exceptions: IntRuns
     prime: bool
     witnesses: dict[int, Witness] | None
     elapsed: float
@@ -184,11 +193,11 @@ def _make_report(
         s=interval.s,
         t=interval.t,
         mode=mode,
-        attained=bit_positions(attained),
+        attained=IntRuns(bit_runs(attained)),
         f=f,
         g=g,
-        gaps=bit_positions(inside & ~attained),
-        exceptions=bit_positions(attained & ~inside),
+        gaps=IntRuns(bit_runs(inside & ~attained)),
+        exceptions=IntRuns(bit_runs(attained & ~inside)),
         prime=interval.guaranteed,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,

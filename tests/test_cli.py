@@ -8,12 +8,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from addtriples import cli, verify
+from addtriples import cli, spectrum, verify
+from addtriples.residues import IntRuns, ResidueSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -381,6 +383,60 @@ def test_render_json_refuses_ints_past_the_digit_limit_as_json_dumps_does(payloa
         cli.render_json(payload)
 
 
+def _ascending_runs(draws):
+    """Runs (start, start + length) near each anchor, pushed up to be ascending and disjoint;
+    some come out empty or adjacent to the one before."""
+    runs, stop = [], 0
+    for anchor, offset, length in sorted(draws):
+        start = max(anchor + offset, stop)
+        stop = start + length
+        runs.append((start, stop))
+    return runs
+
+
+# Ascending, disjoint, nonnegative runs, short enough to list, with ends at and
+# around the block writer's edges (0, 999, 1000, 1001, 9999) and far past them.
+_RUNS = st.lists(
+    st.tuples(st.sampled_from([0, 999, 1000, 1001, 9999, 10**6, 2**40]),
+              st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1100, 1100)),
+              st.one_of(st.sampled_from([0, 1, 999, 1000, 1001]), st.integers(0, 2100))),
+    max_size=6,
+).map(_ascending_runs)
+
+
+def _nested(value, depth):
+    """``value`` inside ``depth`` levels of alternating one-item lists and dicts."""
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value]
+    return value
+
+
+@settings(deadline=None)
+@given(_RUNS, st.integers(0, 3))
+@example([], 0)
+@example([(0, 1)], 0)  # [0]
+@example([(0, 1000)], 1)  # exactly block 0
+@example([(999, 1001)], 2)  # across the first block edge
+def test_runs_render_as_their_flat_ints(runs, depth):
+    flat = [x for start, stop in runs for x in range(start, stop)]
+    as_runs = IntRuns(runs)
+    assert list(as_runs) == flat and len(as_runs) == len(flat) and as_runs == tuple(flat)
+    payload = {"values": _nested(as_runs, depth), "twice": [as_runs, as_runs], "n": len(flat)}
+    listed = {"values": _nested(flat, depth), "twice": [flat, flat], "n": len(flat)}
+    assert cli.render_json(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
+    # the CSV derivers give the same rows from the runs as from the listed ints
+    row = {"p": 2**41 + 1, "s": len(flat), "t": 2, "target_r": 3, "achieved_r": 3}
+    assert (cli._construct_rows({**row, "witness_a": as_runs, "witness_b": IntRuns([(0, 2)])})
+            == cli._construct_rows({**row, "witness_a": flat, "witness_b": [0, 1]}))
+    assert (cli._spectrum_rows({**row, "attained": as_runs, "gaps": IntRuns(), "x": [5]})
+            == cli._spectrum_rows({**row, "attained": flat, "gaps": [], "x": [5]}))
+
+
+def test_runs_refuse_ints_past_the_digit_limit_as_json_dumps_does():
+    with pytest.raises(ValueError):
+        cli.render_json({"x": IntRuns([(10**5000, 10**5000 + 2)])})
+
+
 # The default JSON and CSV of a large construct and a mirrored multiset-dp
 # spectrum (s > p/2), and the CSV of every other command, pinned byte for byte
 # by sha256.
@@ -414,6 +470,54 @@ def test_default_output_digest(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# construct at p = 2^20 + 1 and multiset-dp spectra, JSON and CSV, pinned by sha256
+_RUN_PINS = [
+    (("construct", "--p", "1048577", "--s", "524288", "--t", "524288", "--r", "137438822400"),
+     "d650a24943f3b83b3780b26c3964cd9b37aad3c76a35917f6e3129f4a5ab5a8e"),
+    (("construct", "--p", "1048577", "--s", "524288", "--t", "524288", "--r", "137438822400",
+      "--format", "csv"),
+     "aa5e4631ee35ac925fe4c23eb472d919b2b923345849b1440418a4ec6d977ff9"),
+    (("spectrum", "--p", "401", "--s", "300", "--t", "150", "--mode", "multiset-dp"),
+     "abe61c381d63947327a5e232bd0a327ae820cde0c3716abaa55fff66ae234940"),
+    (("spectrum", "--p", "2001", "--s", "1000", "--t", "1000", "--mode", "multiset-dp",
+      "--format", "csv"),
+     "f3a41aefda829fc86f2cc2b382ed6dc73087ee67b155193acd3c89db9f50d8f6"),
+]
+
+
+def test_cli_writes_runs_without_listing_their_ints(capsys, monkeypatch):
+    # construct's witnesses are sets built from runs, and a multiset-dp spectrum is
+    # one run: the CLI writes them from their runs, so nothing may list their ints.
+    def refuse(*_):
+        raise AssertionError("the ints of a run were listed")
+
+    for owner, name in [(ResidueSet, "elements"), (ResidueSet, "__iter__"),
+                        (IntRuns, "__iter__"), (IntRuns, "__getitem__")]:
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(spectrum, "bit_positions", refuse)
+    for argv, digest in _RUN_PINS:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_construct_peak_memory_stays_near_its_output_size():
+    # The witness texts and their join are the output's size or so; listing A
+    # and B as ints took the traced peak to 5.3x the output at p = 2^20 + 1,
+    # and writing them by runs to 3.4x on CPython 3.11.
+    with contextlib.redirect_stdout(io.StringIO()):  # parser and block texts built first
+        assert cli.main(["construct", "--p", "9", "--s", "7", "--t", "6", "--r", "27"]) == 0
+    sink = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(list(_RUN_PINS[0][0])) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(sink.getvalue()), (peak, len(sink.getvalue()))
 
 
 def _fresh_interpreter(code, *args):

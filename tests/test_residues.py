@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,12 @@ from addtriples.counting import layers
 from addtriples.residues import (
     DomainError,
     IncompatibleSetsError,
+    IntRuns,
     InvalidModulusError,
     Params,
     ResidueSet,
     bit_positions,
+    bit_runs,
     empty_set,
     full_set,
     interval_set,
@@ -202,6 +205,22 @@ class TestFromRuns:
         assert list(made) == [5, 6, 7, 2**20]
         assert "_member_array" not in made.__dict__  # never unpacked from the bitmask
 
+    def test_runs_are_the_maximal_runs_of_the_bitmask(self):
+        rng = random.Random(9)
+        cases = [(9, []), (9, [(0, 9)]), (9, [(0, 2), (2, 3), (5, 6), (8, 9)]),
+                 (21, [(3, 3), (4, 10), (10, 10), (12, 21)])]
+        for _ in range(200):
+            p = rng.randrange(3, 400, 2)
+            cuts = sorted(rng.choices(range(p + 1), k=2 * rng.randint(0, 6)))  # some repeat
+            cases.append((p, list(zip(cuts[::2], cuts[1::2]))))
+        for p, runs in cases:
+            made = ResidueSet._from_runs(p, runs)
+            scanned = ResidueSet(p, made.bits)
+            assert made.runs() == scanned.runs() == bit_runs(made.bits), (p, runs)
+            assert all(start < stop for start, stop in made.runs())
+            assert all(a[1] < b[0] for a, b in zip(made.runs(), made.runs()[1:]))  # maximal
+            assert "_members" not in made.__dict__ and "_runs" not in scanned.__dict__
+
     def test_refuses_unsorted_overlapping_or_out_of_range_runs(self):
         for runs in ([(3, 5), (0, 2)], [(0, 4), (3, 6)], [(4, 3)], [(-1, 2)], [(5, 10)]):
             with pytest.raises(DomainError):
@@ -240,6 +259,30 @@ class TestHelpers:
             assert list(listed) == positions, bits
             assert all(type(r) is int for r in listed)
             assert listed == tuple(r for r in range(bits.bit_length()) if bits >> r & 1)
+
+
+class TestIntRuns:
+    def test_behaves_as_the_tuple_of_its_ints(self):
+        runs = IntRuns([(0, 0), (2, 5), (5, 7), (10, 11), (1000, 1003)])
+        flat = (2, 3, 4, 5, 6, 10, 1000, 1001, 1002)
+        assert runs.runs == ((2, 7), (10, 11), (1000, 1003))  # empty dropped, adjacent merged
+        assert tuple(runs) == flat and len(runs) == len(flat) and runs == flat and flat == runs
+        assert hash(runs) == hash(flat) and runs == IntRuns([(2, 7), (10, 11), (1000, 1003)])
+        assert runs != list(flat) and runs != flat[:-1] and runs != IntRuns([(2, 7)])
+        assert [runs[i] for i in range(-len(flat), len(flat))] == list(flat) * 2
+        assert runs[1:4] == flat[1:4]
+        for value in range(-2, 1010):
+            assert (value in runs) == (value in flat), value
+        assert 3.0 in runs and 3.5 not in runs and "3" not in runs
+        assert runs.index(1001) == 7 and runs.count(5) == 1
+        with pytest.raises(IndexError):
+            runs[len(flat)]
+        assert not IntRuns() and IntRuns() == () and list(IntRuns([(4, 4)])) == []
+
+    def test_refuses_unsorted_overlapping_or_negative_runs(self):
+        for runs in ([(3, 5), (0, 2)], [(0, 4), (3, 6)], [(4, 3)], [(-1, 2)]):
+            with pytest.raises(DomainError):
+                IntRuns(runs)
 
 
 class TestParams:
