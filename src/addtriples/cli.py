@@ -312,12 +312,12 @@ def render_json(payload: dict) -> str:
     blocks of a thousand ints by :func:`_write_runs`, with no int object per
     item. A list of plain ints is written by one ``%`` format: a
     template with one ``%d`` per item and the indented separators between
-    them, applied to the tuple of the items. A list of non-empty lists of
-    plain ints (``selection``, the ``skipped`` rows of ``scan``) joins one
-    such row template per row, built once per distinct row length, and
-    applies ``%`` once to all the ints. ``'%d' % x`` is ``str(x)`` for an
-    exact int, and raises the same ``ValueError`` past the int -> str digit
-    limit, as the block writer does. Dict keys must be strings, as in every
+    them, applied to the tuple of the items. A list of lists of n >= 1 plain
+    ints each (``selection``'s pairs, the ``skipped`` triples of ``scan``)
+    joins one row template per row and applies ``%`` once to all the ints;
+    rows of mixed lengths are walked item by item. ``'%d' % x`` is ``str(x)``
+    for an exact int, and raises the same ``ValueError`` past the int -> str
+    digit limit, as the block writer does. Dict keys must be strings, as in every
     payload the CLI builds.
     """
     return _render(payload, "\n") + "\n"
@@ -350,18 +350,12 @@ def _render(value, pad: str) -> str:
         if operator.countOf(map(type, value), int) == len(value):
             # '%d' of an exact int is its str; pads hold no '%', keys never reach a template
             return _int_template(len(value), inner, pad) % tuple(value)
-        if (operator.countOf(map(type, value), list) == len(value) and all(value)
-                and operator.countOf(map(type, chain.from_iterable(value)), int)
-                == sum(map(len, value))):
-            # non-empty lists of exact ints: one row template per distinct row length
-            deep = inner + "  "
-            lengths = list(map(len, value))
-            if lengths.count(lengths[0]) == len(lengths):  # the usual case: skips the dict
-                rows = [_int_template(lengths[0], deep, inner)] * len(value)
-            else:
-                templates = {n: _int_template(n, deep, inner) for n in set(lengths)}
-                rows = map(templates.__getitem__, lengths)
-            body = ("," + inner).join(rows)
+        n = len(value[0]) if type(value[0]) is list else 0
+        if (n and operator.countOf(map(type, value), list) == len(value)
+                and operator.countOf(map(len, value), n) == len(value)
+                and operator.countOf(map(type, chain.from_iterable(value)), int) == n * len(value)):
+            # rows of n >= 1 exact ints each, as every int-row payload has: one row template
+            body = ("," + inner).join([_int_template(n, inner + "  ", inner)] * len(value))
             return ("[" + inner + body + pad + "]") % tuple(chain.from_iterable(value))
         parts = (_render(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(parts) + pad + "]"

@@ -23,10 +23,10 @@ members as Python ints through :meth:`ResidueSet.elements`.
 
 :func:`count_interval` is not a fifth cross-check route: it is a specialised
 recount for B = {0..t-1} only, which :func:`construct` uses to recount every
-witness it builds. It reads the maximal runs of A off the binary digits of
-its bitmask with ``str.find``, one C-level O(p) scan, and adds a closed-form
-arithmetic series per run, so its Python work is O(runs) and it never
-imports numpy.
+witness it builds. It reads the maximal runs of A inside the two windows
+that meet B with :func:`residues.bit_runs`, C-level O(p) scans, and adds a
+closed-form arithmetic series per run, so its Python work is O(runs) and it
+never imports numpy.
 
 :func:`count_naive` and the representation counts behind :func:`count_layers`
 both walk the pair sums a + b in numpy blocks of whole rows of A, each
@@ -47,7 +47,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .residues import DomainError, NumpyOnFirstUse, ResidueSet, common_modulus, pack_indicator
+from .residues import (
+    DomainError,
+    NumpyOnFirstUse,
+    ResidueSet,
+    bit_runs,
+    common_modulus,
+    pack_indicator,
+)
 
 np = NumpyOnFirstUse(globals())  # numpy is imported on first use
 
@@ -114,19 +121,6 @@ def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
     return total
 
 
-def _runs_within(digits: str, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """The maximal runs [a, b) of set bits with lo <= a < b <= hi, clipped to that window,
-    of the int whose ``format(bits, "b")`` is ``digits`` (bit r is ``digits[-1 - r]``)."""
-    n = len(digits)
-    end = max(0, n - lo)
-    stop = max(0, n - hi)
-    while (start := digits.find("1", stop, end)) >= 0:
-        stop = digits.find("0", start, end)
-        if stop < 0:
-            stop = end
-        yield n - stop, n - start
-
-
 def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
     """r(A, B, B) for the interval B = {0..t-1} only, in closed form over the runs of A.
 
@@ -135,22 +129,21 @@ def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
     in a + t - p when a > p - t. So only the members of A in those two
     windows count, and a run [lo, hi) of them adds an arithmetic series:
     T(t - lo) - T(t - hi) in the first, T(hi + t - p - 1) - T(lo + t - p - 1)
-    in the second, T(n) = n(n + 1)/2. The runs are read off the binary
-    digits of ``a_set.bits`` by ``str.find``: a C-level O(p) scan plus
-    O(runs) Python arithmetic, exact for any A, and no numpy. Raises
-    :class:`DomainError` for any other B.
+    in the second, T(n) = n(n + 1)/2. :func:`residues.bit_runs` reads the
+    runs of each window alone, off the bits of A masked by B and off the bits
+    of A from p - t + 1 up: a C-level O(p) scan plus O(runs) Python
+    arithmetic, exact for any A, and no numpy. Raises :class:`DomainError`
+    for any other B.
     """
     p = common_modulus(a_set, b_set)
     t = b_set.cardinality
     if b_set.bits.bit_length() != t:  # t members, the highest at t - 1
         raise DomainError(f"B is not the interval {{0..{t - 1}}} of Z_{p}")
-    digits = format(a_set.bits, "b")
     twice = 0  # twice the count: each series is T(.) - T(.), and 2T(n) = n(n + 1)
-    for lo, hi in _runs_within(digits, 0, t):
+    for lo, hi in bit_runs(a_set.bits & b_set.bits):
         twice += (t - lo) * (t - lo + 1) - (t - hi) * (t - hi + 1)
-    c = t - p - 1
-    for lo, hi in _runs_within(digits, p - t + 1, p):
-        twice += (hi + c) * (hi + c + 1) - (lo + c) * (lo + c + 1)
+    for lo, hi in bit_runs(a_set.bits >> (p - t + 1)):  # lo, hi counted from p - t + 1
+        twice += hi * (hi + 1) - lo * (lo + 1)
     return twice // 2
 
 

@@ -10,26 +10,20 @@ Three modes with very different costs:
 
 The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
 over all A are the exactly-s selection sums of B's overlap multiset. One
-dispatcher serves every mode. When the histogram is gapless (its distinct
-values are consecutive integers, max - min + 1 of them), the exchange lemma
-applies: the exactly-c sums are every integer from the sum of the c
-smallest elements to the sum of the c largest, since swapping a selected x
-for an unselected x + 1 adds 1. Every interval profile is gapless, its
-values running from max(0, 2t - p) to t, so ``multiset-dp`` reads its row
-off the sorted histogram. Any other histogram goes to the DP core, a
-bounded-multiplicity subset-sum DP over the histogram, on the values less
-the least one, so rows stay narrow when every overlap is at least 2t - p.
-The DP adds its values in ascending order, so a row of c items is at most
-c * (v - min) bits wide once value v is in. A value with exactly two
-copies (each interval value strictly between the floor and t, and any value
-that one a <-> -a pair of overlaps holds alone) goes in with one sweep over
-the rows rather than two; other multiplicities are binary-split. The DP
-stops updating a row once the copies still to come cannot lift it to the
-least requested size, and it returns only the requested rows, so no caller
-reads a row left partial. Translating B changes no count, so ``exhaustive``
-visits only the B that contain 0 and runs the engine once per distinct
-histogram. The histograms depend on (p, t) alone, so the scanner makes one
-such pass per (p, t) for all its sizes s.
+selection-sum DP serves them: a suffix table over the overlaps in position
+order, where suffix[x][c] is the bitmask over the sums of c overlaps at
+positions >= x. Its row 0 gives the sums of every size, and the rows below
+it let a greedy walk pick the lex-first positions for each value. Translating
+B changes no count, so ``exhaustive`` visits only the B that contain 0 and
+builds one table per distinct histogram, at the largest size it wants. The
+histograms depend on (p, t) alone, so the scanner makes one such pass per
+(p, t) for all its sizes s. When a histogram is gapless (its distinct values
+are consecutive integers, max - min + 1 of them), the exchange lemma gives
+its rows without the table: the exactly-c sums are every integer from the
+sum of the c smallest elements to the sum of the c largest, since swapping a
+selected x for an unselected x + 1 adds 1. Every interval profile is
+gapless, its values running from max(0, 2t - p) to t, so ``multiset-dp``
+reads its row off the sorted histogram.
 
 Every mode hands its attained values to the report as one bitmask, and the
 report reads the attained values, the gaps inside the closed-form interval
@@ -58,7 +52,6 @@ the exact product is compared otherwise.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -229,17 +222,28 @@ def _distinct_profiles(p: int, t: int):
                 yield (0, *chunk[i]), table[i].tolist()
 
 
-def _first_selections(values: list[int], size: int, targets: list[int]):
-    """Yield (target, lex-first ``size`` positions of ``values`` summing to it).
+def _suffix_sums(values: list[int], size: int) -> list[list[int]]:
+    """The selection-sum table of ``values``: suffix[x][c], for c <= ``size``, is the
+    bitmask over the sums of c values at positions >= x.
 
-    suffix[x][c] is a bitmask over the sums of c values at positions >= x;
-    each position is taken greedily while the rest can still be met.
+    Row suffix[0] gives the sums of exactly c values for every c <= ``size``
+    (0 past the number of values), and the rows below it let
+    :func:`_first_selections` pick witnesses.
     """
     suffix = [[1] + [0] * size]
     for v in reversed(values):
         below = suffix[-1]
         suffix.append([1] + [below[c] | below[c - 1] << v for c in range(1, size + 1)])
     suffix.reverse()
+    return suffix
+
+
+def _first_selections(values: list[int], suffix: list[list[int]], size: int, targets: list[int]):
+    """Yield (target, lex-first ``size`` positions of ``values`` summing to it).
+
+    ``suffix`` is :func:`_suffix_sums` of ``values`` at a size of at least
+    ``size``; each position is taken greedily while the rest can still be met.
+    """
     for target in targets:
         chosen, rest = [], target
         for x, v in enumerate(values):
@@ -254,18 +258,20 @@ def _exhaustive_pass(p: int, t: int, wanted: dict[int, int]):
     """One histogram walk for every size s in ``wanted``: (attained, witnesses) by s.
 
     ``wanted[s]`` is a bitmask over the values r that get a recounted witness
-    (-1 for all); each histogram runs one selection DP that returns the rows of
-    these sizes.
+    (-1 for all). Each histogram builds one :func:`_suffix_sums` table, at the
+    largest wanted size, over its overlaps in residue order: row 0 gives every
+    size's sums, and the same table picks that size's witnesses.
     """
     attained = dict.fromkeys(wanted, 0)
     witnesses: dict[int, dict[int, Witness]] = {s: {} for s in wanted}
+    size = max(wanted)
     for b_tuple, overlaps in _distinct_profiles(p, t):
-        rows = _attainable_selection_sums(Counter(overlaps), wanted.keys())
+        suffix = _suffix_sums(overlaps, size)
         for s, mask in wanted.items():
-            new = rows[s] & ~attained[s]
+            new = suffix[0][s] & ~attained[s]
             attained[s] |= new
             if new & mask:
-                for r, a_tuple in _first_selections(overlaps, s, bit_positions(new & mask)):
+                for r, a_tuple in _first_selections(overlaps, suffix, s, bit_positions(new & mask)):
                     check = counting.count_naive(make_set(p, a_tuple), make_set(p, b_tuple))
                     if check != r:
                         raise VerificationError(
@@ -336,12 +342,13 @@ def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -
     selection that is not the largest, let x be the largest selected value
     below some unselected one and y the least unselected value above x;
     every value strictly between them exists and is fully selected, so
-    y = x + 1, and swapping x for y adds exactly 1. Any other histogram goes
-    to the DP core :func:`_selection_sums_dp`.
+    y = x + 1, and swapping x for y adds exactly 1. Any other histogram is
+    expanded into its elements and served by row 0 of :func:`_suffix_sums`.
     """
     ascending = sorted(counts.items())
     if ascending[-1][0] - ascending[0][0] + 1 != len(ascending):
-        return _selection_sums_dp(counts, sizes)
+        row = _suffix_sums([v for v, m in ascending for _ in range(m)], max(sizes))[0]
+        return {c: row[c] for c in sizes}
     total = sum(counts.values())
     return {c: _between(_first_sum(ascending, c), _first_sum(reversed(ascending), c))
             if c <= total else 0 for c in sizes}
@@ -356,51 +363,6 @@ def _first_sum(items: Iterable[tuple[int, int]], c: int) -> int:
         total += m * v
         c -= m
     return total
-
-
-def _selection_sums_dp(counts: dict[int, int], sizes: Collection[int]) -> dict[int, int]:
-    """Subset-sum DP over a multiset: the sums of exactly c elements for each c in ``sizes``.
-
-    Returns {c: bitmask over the sums attainable with exactly c elements}.
-    Multiplicities are capped at the largest size. A value with exactly two
-    copies, as every interval-profile value strictly between the floor and t
-    has, is added in one descending sweep, row c gaining
-    (rows[c-1] | rows[c-2] << v) << v; any other multiplicity is
-    binary-split, so one pass adds k copies at once. The DP runs on the
-    values less the least value ``low`` and adds them in ascending order, so
-    once value v is in, row c spans at most c * (v - low) bits; each returned
-    row is shifted back by c * low. With ``left`` copies still to come, a row
-    below min(sizes) - left can no longer reach a requested row, so it stops
-    being updated; only requested rows, which are never stopped, come back.
-    """
-    size, least = max(sizes), min(sizes)
-    low = min(counts)
-    left = sum(min(m, size) for m in counts.values())
-    rows = [0] * (size + 1)
-    rows[0] = 1
-    for v, m in sorted(counts.items()):
-        v -= low
-        m = min(m, size)
-        if m == 2:  # both copies in one sweep
-            left -= 2
-            stop = least - left
-            for c in range(size, max(2, stop) - 1, -1):
-                rows[c] |= (rows[c - 1] | rows[c - 2] << v) << v
-            if stop <= 1:
-                rows[1] |= rows[0] << v
-            continue
-        k = 1
-        while m:
-            take = min(k, m)
-            m -= take
-            k <<= 1
-            left -= take
-            add = v * take
-            for c in range(size, max(take, least - left) - 1, -1):
-                src = rows[c - take]
-                if src:
-                    rows[c] |= src << add
-    return {c: rows[c] << (c * low) for c in sizes}
 
 
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:

@@ -9,7 +9,7 @@ import pytest
 
 from addtriples import counting, residues, spectrum
 from addtriples.bounds import lower_bound, upper_bound
-from addtriples.construction import build_shift_profile
+from addtriples.construction import build_shift_profile, shift_overlap
 from addtriples.residues import DomainError, VerificationError, bit_positions, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
@@ -18,7 +18,7 @@ from addtriples.spectrum import (
     _check_budget,
     _distinct_profiles,
     _exhaustive_pass,
-    _selection_sums_dp,
+    _suffix_sums,
     exception_scan,
     schur_spectrum,
     spectrum_exhaustive,
@@ -32,6 +32,13 @@ SCAN_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "scan_expect
 
 PAPER_A9 = (0, 1, 2, 4, 5, 7, 8)
 PAPER_B9 = (0, 1, 3, 4, 6, 7)
+
+
+def _dp_rows(counts, sizes):
+    """{c: row c of the selection-sum DP} for c in ``sizes``: row 0 of the suffix table
+    over the elements of ``counts``, whatever their histogram, with no lemma in between."""
+    row = _suffix_sums([v for v, m in counts.items() for _ in range(m)], max(sizes))[0]
+    return {c: row[c] for c in sizes}
 
 
 class TestExhaustive:
@@ -123,7 +130,7 @@ class TestSelectionSums:
     @pytest.mark.parametrize("shape", ["single", "run", "sparse"])
     def test_requested_rows_match_the_oracle(self, shape):
         # the value 0 is always present and one value has more copies than the
-        # largest size, so the cap and the pruned rows below min(sizes) are exercised
+        # largest size, so rows past a value's copies and sizes past none are exercised
         rng = random.Random(f"selection-sums:{shape}")
         for _ in range(300):
             if shape == "single":
@@ -150,15 +157,14 @@ class TestSelectionSums:
 
     @pytest.mark.parametrize("p", [7, 9, 15, 21, 31])
     def test_interval_profiles_match_the_oracle(self, p):
-        # every value strictly between the floor and t has two copies: the pair sweep.
-        # Interval profiles are gapless, so the dispatcher would never reach the DP
-        # core; the core is called directly
+        # Interval profiles are gapless, so the dispatcher would never reach the DP;
+        # the DP is called directly
         for t in range(1, p):
             counts = build_shift_profile(p, t).counts
             for s in range(1, p):
-                self._assert_rows_match_the_oracle(counts, (s,), _selection_sums_dp)
-            self._assert_rows_match_the_oracle(counts, range(1, p), _selection_sums_dp)
-            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1), _selection_sums_dp)
+                self._assert_rows_match_the_oracle(counts, (s,), _dp_rows)
+            self._assert_rows_match_the_oracle(counts, range(1, p), _dp_rows)
+            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1), _dp_rows)
 
     @pytest.mark.parametrize("p", [9, 15, 21])
     def test_random_b_histograms_match_the_oracle(self, p):
@@ -178,8 +184,9 @@ class TestSelectionSums:
         {5: 1, 6: 2, 9: 4, 11: 2},
     ])
     def test_a_last_pair_with_row_1_or_2_lowest_live(self, counts):
-        # the largest value has two copies, so with no copies left after it the
-        # least size sets the lowest row its sweep updates: row 1 or row 2
+        # histograms with a hole, so the dispatcher serves them by the DP: every
+        # size alone and with each larger one, the rows next to a last value of
+        # two copies included
         total = sum(counts.values())
         for least in range(1, total + 1):
             self._assert_rows_match_the_oracle(counts, (least,))
@@ -188,16 +195,16 @@ class TestSelectionSums:
 
 
 class TestGaplessFastPath:
-    """The dispatcher's exchange-lemma rows against the DP core."""
+    """The dispatcher's exchange-lemma rows against the DP."""
 
     @staticmethod
     def _spy_on_the_core(monkeypatch):
         calls = []
-        def spy(counts, sizes):
-            calls.append(counts)
-            return _selection_sums_dp(counts, sizes)
+        def spy(values, size):
+            calls.append(Counter(values))
+            return _suffix_sums(values, size)
 
-        monkeypatch.setattr(spectrum, "_selection_sums_dp", spy)
+        monkeypatch.setattr(spectrum, "_suffix_sums", spy)
         return calls
 
     def test_interval_profiles_equal_the_dp_core(self):
@@ -205,7 +212,7 @@ class TestGaplessFastPath:
             for t in range(1, p):
                 counts = build_shift_profile(p, t).counts
                 rows = _attainable_selection_sums(counts, range(1, p))
-                assert rows == _selection_sums_dp(counts, range(1, p)), (p, t)
+                assert rows == _dp_rows(counts, range(1, p)), (p, t)
 
     def test_random_gapless_histograms_equal_the_dp_core(self):
         # sizes run past the multiset's size, where both give the row 0
@@ -216,7 +223,7 @@ class TestGaplessFastPath:
             total = sum(counts.values())
             sizes = sorted({*rng.sample(range(1, total + 3), min(total + 2, 4)), total, total + 1})
             rows = _attainable_selection_sums(counts, sizes)
-            assert rows == _selection_sums_dp(counts, sizes), (counts, sizes)
+            assert rows == _dp_rows(counts, sizes), (counts, sizes)
             assert rows[total] == 1 << sum(v * m for v, m in counts.items())
             assert rows[total + 1] == 0
 
@@ -241,7 +248,7 @@ class TestGaplessFastPath:
             if max(counts) - min(counts) + 1 > len(counts):
                 break
         sizes = (1, 10, 20)
-        assert _attainable_selection_sums(counts, sizes) == _selection_sums_dp(counts, sizes)
+        assert _attainable_selection_sums(counts, sizes) == _dp_rows(counts, sizes)
         assert calls[1:] == [counts]
 
 
@@ -297,11 +304,11 @@ class TestMultisetDP:
     def test_interval_exactly_for_all_odd_p_to_99(self):
         # the DP is cheap enough to sweep every (s, t) for every odd p <= 99;
         # this is the constructive theorem checked through a non-constructive route.
-        # spectrum_multiset_dp takes the exchange-lemma path, so the DP core is
+        # spectrum_multiset_dp takes the exchange-lemma path, so the DP is
         # called directly, once per (p, t) for every size
         for p in range(3, 100, 2):
             for t in range(1, p):
-                rows = _selection_sums_dp(build_shift_profile(p, t).counts, range(1, p))
+                rows = _suffix_sums([shift_overlap(p, t, a) for a in range(p)], p - 1)[0]
                 for s in range(1, p):
                     exact = _between(lower_bound(p, s, t), upper_bound(p, s, t))
                     assert rows[s] == exact, (p, s, t, bit_positions(rows[s] ^ exact))
@@ -454,13 +461,28 @@ class TestExceptionScan:
         assert not records
 
     def test_pass_without_size_one_equals_single_size_path(self):
-        # sizes {4, 6} leave rows below 4 prunable, which a scan asking for s = 1 never does
+        # one table at size 6 serves both sizes' rows and witnesses
         for t in range(1, 15):
             attained, witnesses = _exhaustive_pass(15, t, {4: -1, 6: -1})
             for s in (4, 6):
                 report = spectrum_exhaustive(15, s, t, want_witnesses=True)
                 assert bit_positions(attained[s]) == report.attained, (s, t)
                 assert witnesses[s] == report.witnesses, (s, t)
+
+    def test_pass_builds_one_table_per_histogram_for_every_size(self, monkeypatch):
+        # witnesses for three sizes, every row and every witness off the one table
+        # each distinct histogram builds at the largest size
+        built = []
+        def spy(values, size):
+            built.append(size)
+            return _suffix_sums(values, size)
+
+        monkeypatch.setattr(spectrum, "_suffix_sums", spy)
+        for t in (3, 6, 9):
+            built.clear()
+            _, witnesses = _exhaustive_pass(15, t, {4: -1, 6: -1, 9: -1})
+            assert built == [9] * len(list(_distinct_profiles(15, t))), t
+            assert all(witnesses[s] for s in (4, 6, 9)), t
 
     def test_scan_witnesses_match_brute_oracle(self):
         result = exception_scan(9, 9)
