@@ -14,7 +14,7 @@ import io
 import json
 import operator
 import sys
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 from . import counting, verify
 from .bounds import bounds_for
@@ -200,7 +200,7 @@ def _run_construct(args):
         "p": witness.p, "s": witness.s, "t": witness.t,
         "target_r": witness.target_r, "achieved_r": witness.achieved_r,
         "witness_a": IntRuns(witness.a_set.runs()), "witness_b": IntRuns(witness.b_set.runs()),
-        "selection": list(map(list, witness.selection.items())),  # descending by contract
+        "selection": ValueCounts(witness.selection_segments),
     }
     return payload, EXIT_OK
 
@@ -300,9 +300,22 @@ _COMMANDS = {  # command -> (runner returning (payload, exit code), CSV rows of 
 }
 
 
+class ValueCounts:
+    """A value -> count listing held as descending segments (high, low, count): the
+    values high, high - 1, ..., low, each with ``count`` copies (``construct``'s
+    selection). :func:`render_json` writes it as the [value, count] rows of its
+    values, largest first, with no object per value."""
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments) -> None:
+        self.segments = tuple(segments)
+
+
 def render_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, with every
-    :class:`IntRuns` in ``payload`` written as the list of its ints.
+    :class:`IntRuns` in ``payload`` written as the list of its ints and every
+    :class:`ValueCounts` as the list of its [value, count] rows.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set. Here only the containers are walked in Python: strings go through
@@ -310,11 +323,15 @@ def render_json(payload: dict) -> str:
     ``json.dumps``. An ``IntRuns`` (the runs a payload holds by construction:
     ``construct``'s witnesses, a spectrum's values) is written run by run in
     blocks of a thousand ints by :func:`_write_runs`, with no int object per
-    item. A list of plain ints is written by one ``%`` format: a
-    template with one ``%d`` per item and the indented separators between
-    them, applied to the tuple of the items. A list of lists of n >= 1 plain
-    ints each (``selection``'s pairs, the ``skipped`` triples of ``scan``)
-    joins one row template per row and applies ``%`` once to all the ints;
+    item. A :class:`ValueCounts` (``construct``'s selection) is written as
+    the list of its [value, count] rows segment by segment: a one-value
+    segment by one ``%`` template, a longer one by the block writer, going
+    down, with the rows' text between its values as the separator. A list
+    of plain ints is written by one ``%`` format: a template with one
+    ``%d`` per item and the indented separators between them, applied to
+    the tuple of the items. A list of lists of n >= 1 plain ints each (the
+    ``skipped`` triples of ``scan``) joins one row template per row and
+    applies ``%`` once to all the ints;
     rows of mixed lengths are walked item by item. ``'%d' % x`` is ``str(x)``
     for an exact int, and raises the same ``ValueError`` past the int -> str
     digit limit, as the block writer does. Dict keys must be strings, as in every
@@ -366,55 +383,83 @@ def _render(value, pad: str) -> str:
         _write_runs(value.runs, "," + inner, out)
         out.append(pad + "]")
         return "".join(out)
+    if type(value) is ValueCounts:
+        return _render_value_counts(value.segments, inner, pad)
     return json.dumps(value)
 
 
-@functools.lru_cache(maxsize=8)  # the CLI writes with three separators
-def _int_blocks(sep: str) -> tuple[tuple[str, ...], str]:
-    """The block writer's cached text for one separator, built on its first use:
-    the thousand items "000" + sep, ..., "999" + sep, and the text of the
-    ints 0, 1, ..., 999, each followed by ``sep``."""
+def _render_value_counts(segments, inner: str, pad: str) -> str:
+    # Each row is "," + inner + "[" + item + "%d," + item + "%d" + inner + "]"; the
+    # leading comma of the first is dropped. In a segment of two or more values
+    # the text between two values is the same throughout, so the block writer
+    # writes the values going down with it as the separator. It holds the count,
+    # which is 2 in every such segment construct makes, so the block cache sees
+    # one separator per indent.
+    if not segments:
+        return "[]"
+    item = inner + "  "
+    opened, closed = "," + inner + "[" + item, "," + item + "%d" + inner + "]"
+    row = opened + "%d" + closed
+    out = []
+    for high, low, count in segments:
+        if high == low:
+            out.append(row % (high, count))
+        else:
+            out.append(opened)
+            _write_runs(((low, high + 1),), closed % count + opened, out, descending=True)
+            out.append(closed % count)
+    out[0] = "[" + out[0][1:]
+    out.append(pad + "]")
+    return "".join(out)
+
+
+@functools.lru_cache(maxsize=4)  # the CLI writes runs with four: see _write_runs
+def _int_blocks(sep: str, descending: bool) -> tuple[tuple[str, ...], str, tuple[int, ...]]:
+    """The block writer's cached text for one separator and direction, built on its
+    first use: the thousand items "000" + sep, ..., "999" + sep; the text of the
+    ints 0, 1, ..., 999, each followed by ``sep``; and where each int's text starts
+    in it, with its length last. Going down, the items and the ints are in the
+    reverse order, from 999 to 0."""
     digits = "0123456789"
     tails = tuple(map("".join, product(digits, digits, digits, (sep,))))
-    head = "".join(chain((tail[2:] for tail in tails[:10]), (tail[1:] for tail in tails[10:100]),
-                         tails[100:]))  # 0..99 without their leading zeros
-    return tails, head
+    head = [*(tail[2:] for tail in tails[:10]), *(tail[1:] for tail in tails[10:100]),
+            *tails[100:]]  # 0..999 without their leading zeros
+    if descending:
+        tails, head = tails[::-1], head[::-1]
+    return tails, "".join(head), tuple(accumulate(map(len, head), initial=0))
 
 
-def _head_offset(i: int, width: int) -> int:
-    """Where int i (0 <= i <= 1000) starts in the text of 0..999, each followed by
-    a separator of ``width`` characters: i separators and the digits of 0..i-1."""
-    return i * width + (i if i <= 10 else 2 * i - 10 if i <= 100 else 3 * i - 110)
-
-
-def _write_runs(runs, sep: str, out: list[str]) -> None:
-    """Append to ``out`` the text of the ints of the half-open ``runs``, joined by ``sep``.
+def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> None:
+    """Append to ``out`` the text of the ints of the half-open ``runs``, joined by ``sep``,
+    each run going up, or going down from its last int when ``descending``.
 
     The ints go in blocks of a thousand. Block q >= 1 holds 1000q + k for
-    0 <= k < 1000, whose text is str(q) then k in three digits, so for its
-    items i..j-1 ``str(q) + str(q).join(tails[i:j])`` is their text, each
-    followed by ``sep``; block 0 is one slice of the cached text of 0..999.
-    A run costs O(its blocks) Python steps plus copying its text, with no int
-    object per item. Runs are nonnegative, ascending and disjoint.
+    0 <= k < 1000, whose text is str(q) then k in three digits, so for a
+    slice of the block's items ``str(q) + str(q).join(tails[i:j])`` is their
+    text, each followed by ``sep``; block 0 is one slice of the cached text
+    of 0..999. Going down, the same holds with the items in reverse order. A
+    run costs O(its blocks) Python steps plus copying its text, with no int
+    object per item. Runs are nonnegative and disjoint. The CLI's separators
+    are the witnesses' and a spectrum's ",\\n    ", the CSV's " " and ";",
+    and the one between the rows of ``construct``'s selection, going down.
     """
-    tails, head = _int_blocks(sep)
-    width = len(sep)
+    tails, head, starts = _int_blocks(sep, descending)
     written = len(out)
     for start, stop in runs:
         str(stop - 1)  # the largest item: ValueError past the digit limit, as json.dumps
-        q, i = divmod(start, 1000)
-        last, j = divmod(stop - 1, 1000)
-        while q <= last:
-            end = j + 1 if q == last else 1000
+        first, last = start // 1000, (stop - 1) // 1000
+        for q in range(last, first - 1, -1) if descending else range(first, last + 1):
+            i, j = max(start - 1000 * q, 0), min(stop - 1000 * q, 1000)  # its items i..j-1
+            if descending:  # their places among the block's items in reverse order
+                i, j = 1000 - j, 1000 - i
             if q:
                 high = str(q)
                 out.append(high)
-                out.append(high.join(tails if end - i == 1000 else tails[i:end]))
+                out.append(high.join(tails if j - i == 1000 else tails[i:j]))
             else:
-                out.append(head[_head_offset(i, width):_head_offset(end, width)])
-            q, i = q + 1, 0
+                out.append(head[starts[i]:starts[j]])
     if len(out) > written:  # no separator after the last int
-        out[-1] = out[-1][:len(out[-1]) - width]
+        out[-1] = out[-1][:len(out[-1]) - len(sep)]
 
 
 def _joined(values, sep: str) -> str:

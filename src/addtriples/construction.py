@@ -21,14 +21,18 @@ n*F + floor((max(0, n - run) + 1)^2 / 4), and the element at any ascending
 position is as direct. The selection takes the most copies of each value,
 compared from the largest value down; on consecutive values that is the k
 largest elements, one element w, then the smallest rest, with k found by
-one bisect over those closed forms, so choosing costs O(log s) arithmetic
-and writing the chosen values costs one dict entry each, in one
-``dict.fromkeys``. The k largest, w and the smallest rest hold disjoint
-values, and each run of positions lies on at most two runs of residues, so
-:func:`construct` realises A as at most four sorted residue runs
-(``ResidueSet._from_runs``): its bitmask is built by int arithmetic, and it
-keeps the runs, which :meth:`ResidueSet.runs` hands to the CLI, so its
-members are listed only if a caller iterates it. It walks no value, and
+one bisect over those closed forms, so choosing costs O(log s) arithmetic.
+The chosen values are written as at most seven descending segments
+(high, low, count): each run's top and bottom values with their counts,
+the values strictly between with two copies each, and w; the witness
+lists them as a value -> count dict only when its ``selection`` is read,
+and the CLI writes them segment by segment. The k largest, w and the
+smallest rest hold disjoint values, and each run of positions lies on at
+most two runs of residues, so :func:`construct` realises A as at most
+four sorted residue runs (``ResidueSet._from_runs``): its bitmask is
+built by int arithmetic, and it keeps the runs, which
+:meth:`ResidueSet.runs` hands to the CLI, so its members are listed only
+if a caller iterates it. It walks no value, and
 neither it nor the recount by :func:`counting.count_interval` imports
 numpy; only :func:`extreme_sums_grid` does. The selection rule and the
 residue tie-breaking here are deterministic, so a given (p, s, t, r) always
@@ -40,7 +44,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import Iterable
 
 from . import counting
@@ -56,6 +60,8 @@ from .residues import (
 )
 
 np = NumpyOnFirstUse(globals())  # numpy is imported on first use
+
+Segment = tuple[int, int, int]  # (high, low, count): the values high, ..., low, count copies each
 
 
 class UnattainableTargetError(DomainError):
@@ -193,12 +199,12 @@ def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
     return _extreme_sums(p, s, t)
 
 
-def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, int, int | None]]:
+def _select(p: int, t: int, s: int, r: int) -> tuple[list[Segment], tuple[int, int, int | None]]:
     """The size-s multi-subset of the overlap multiset summing to r with the most
-    copies of each value, compared from the largest value down, as a value ->
-    count dict in descending value order, and its runs (k, n, w): the k
-    largest elements, the n smallest, and w, the one element between them, or
-    None when w is the next smallest element and so is counted in n.
+    copies of each value, compared from the largest value down, as descending
+    segments (high, low, count), and its runs (k, n, w): the k largest
+    elements, the n smallest, and w, the one element between them, or None
+    when w is the next smallest element and so is counted in n.
 
     The ascending multiset is run copies of F, two of each value in (F, t),
     and one t. Write split(k) for the sum of the k largest plus the s - k
@@ -208,8 +214,11 @@ def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, 
     cost at least split(k + 1) > r. The largest remaining element is then as
     large as possible when the others are the smallest: w is the (s - k)-th
     smallest value plus r - split(k), and it lies below the (k + 1)-th
-    largest value. Needs 1 <= s <= p; raises :class:`UnattainableTargetError`
-    when r is outside [r1, r2], the sums of the s smallest and s largest.
+    largest value. Each of the two runs of positions is at most three
+    segments: its top value, the values strictly between (two copies each),
+    and its bottom value; w is one more. Needs 1 <= s <= p; raises
+    :class:`UnattainableTargetError` when r is outside [r1, r2], the sums of
+    the s smallest and s largest.
     """
     floor, run = _floor_run(p, t)
     if run + 2 * (t - floor) - 1 != p:
@@ -242,40 +251,40 @@ def _select(p: int, t: int, s: int, r: int) -> tuple[dict[int, int], tuple[int, 
         raise UnattainableTargetError(r, r1, r2)
     k = bisect_right(range(s + 1), r, key=split) - 1
 
-    def take(lo: int, hi: int) -> tuple[Iterable[int], dict[int, int], int, int]:
-        # Positions [lo, hi) as one run: its values, largest first; the counts
-        # of its top and bottom values (each value strictly between has two
-        # copies); its size; its sum.
+    def take(lo: int, hi: int) -> list[Segment]:
+        # Positions [lo, hi) as descending segments: the top and bottom values
+        # with their counts, and the values strictly between, two copies each.
         if lo >= hi:
-            return (), {}, 0, 0
+            return []
         top, bottom = value(hi - 1), value(lo)
         if top == bottom:
-            return (top,), {top: hi - lo}, hi - lo, top * (hi - lo)
-        c_top, c_bottom = copies(top, lo, hi), copies(bottom, lo, hi)
-        between = top - bottom - 1
-        return (range(top, bottom - 1, -1), {top: c_top, bottom: c_bottom},
-                c_top + 2 * between + c_bottom,
-                top * c_top + (top + bottom) * between + bottom * c_bottom)
+            return [(top, top, hi - lo)]
+        between = [(top - 1, bottom + 1, 2)] if top - bottom > 1 else []
+        return [(top, top, copies(top, lo, hi)), *between,
+                (bottom, bottom, copies(bottom, lo, hi))]
 
-    # The k largest (with k = s they may reach the floor run), w, the n smallest.
-    largest, largest_ends, size, weight = take(p - k, p)
+    # The k largest (with k = s they may reach the floor run), w, the n smallest:
+    # disjoint values, so their segments in this order descend.
+    segments = take(p - k, p)
     n, w, short = s - k, None, r - split(k)
     if short:  # so k < s; w is the (s - k)-th smallest value plus the shortfall
         n -= 1
         w = value(n) + short  # below the k largest, above the n smallest
-        size, weight = size + 1, weight + w
-    rest, rest_ends, rest_size, rest_weight = take(0, n)
-    size, weight = size + rest_size, weight + rest_weight
-    # Their values are disjoint, so the selection is one dict built in descending
-    # order with every count at 2; setting the other counts keeps that order.
-    middle = {} if w is None else {w: 1}
-    selection = dict.fromkeys(chain(largest, middle, rest), 2)
-    selection.update(largest_ends)
-    selection.update(middle)
-    selection.update(rest_ends)
+        segments.append((w, w, 1))
+    segments += take(0, n)
+    size = sum((high - low + 1) * count for high, low, count in segments)
+    weight = sum((high + low) * (high - low + 1) * count for high, low, count in segments) // 2
     if (size, weight) != (s, r):
         raise VerificationError(f"selection has (size, sum) {(size, weight)}, wanted {(s, r)}")
-    return selection, (k, n, w)
+    return segments, (k, n, w)
+
+
+def _selection_counts(segments: Iterable[Segment]) -> dict[int, int]:
+    """The value -> count dict of descending segments (high, low, count), in their order."""
+    selection: dict[int, int] = {}
+    for high, low, count in segments:
+        selection.update(dict.fromkeys(range(high, low - 1, -1), count))
+    return selection
 
 
 def _realize_runs(p: int, t: int, k: int, n: int, w: int | None) -> ResidueSet:
@@ -313,7 +322,12 @@ def _realize_runs(p: int, t: int, k: int, n: int, w: int | None) -> ResidueSet:
 
 @dataclass(frozen=True)
 class ConstructionWitness:
-    """A verified witness: |A| = s, B = {0..t-1}, and r(A, B, B) = target_r."""
+    """A verified witness: |A| = s, B = {0..t-1}, and r(A, B, B) = target_r.
+
+    ``selection_segments`` holds the overlap values of A as descending
+    segments (high, low, count); ``selection`` is the same selection as a
+    value -> count dict in descending value order, built on first read.
+    """
 
     p: int
     s: int
@@ -321,8 +335,12 @@ class ConstructionWitness:
     target_r: int
     a_set: ResidueSet
     b_set: ResidueSet
-    selection: dict[int, int]
+    selection_segments: tuple[Segment, ...]
     achieved_r: int
+
+    @cached_property
+    def selection(self) -> dict[int, int]:
+        return _selection_counts(self.selection_segments)
 
 
 def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
@@ -331,16 +349,17 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     The selection (:func:`_select`) and its realisation
     (:func:`_realize_runs`) come from (p, t) in closed form, with no profile
     built: the selection's runs are set as residue runs (see the module
-    docstring). ``selection`` holds the overlap values of A as a value ->
-    count dict in descending value order. The achieved count is recomputed
-    from the bitmask of A by :func:`counting.count_interval`, in closed form
-    over its runs of members, before the witness is returned; a mismatch
-    would be a bug and raises :class:`VerificationError`. No step imports
-    numpy.
+    docstring). ``selection_segments`` holds the overlap values of A as at
+    most seven descending segments (high, low, count), and ``selection``
+    lists them as a value -> count dict only when read. The achieved count
+    is recomputed from the bitmask of A by :func:`counting.count_interval`,
+    in closed form over its runs of members, before the witness is
+    returned; a mismatch would be a bug and raises
+    :class:`VerificationError`. No step imports numpy.
     """
     params = Params(p, s, t)
     r = operator.index(r)
-    selection, (k, n, w) = _select(params.p, params.t, params.s, r)
+    segments, (k, n, w) = _select(params.p, params.t, params.s, r)
     a_set = _realize_runs(params.p, params.t, k, n, w)
     b_set = interval_set(p, t)
     if a_set.cardinality != s:
@@ -355,6 +374,6 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
         target_r=r,
         a_set=a_set,
         b_set=b_set,
-        selection=selection,
+        selection_segments=tuple(segments),
         achieved_r=achieved,
     )

@@ -23,7 +23,8 @@ its rows without the table: the exactly-c sums are every integer from the
 sum of the c smallest elements to the sum of the c largest, since swapping a
 selected x for an unselected x + 1 adds 1. Every interval profile is
 gapless, its values running from max(0, 2t - p) to t, so ``multiset-dp``
-reads its row off the sorted histogram.
+reads its row off the sorted histogram by the lemma alone, which refuses
+any histogram with a hole.
 
 Every mode hands its attained values to the report as one bitmask, and the
 report reads the attained values, the gaps inside the closed-form interval
@@ -332,23 +333,24 @@ def spectrum_fixed_interval(
 
 
 def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -> dict[int, int]:
-    """The sums of exactly c elements of a multiset, for each c in ``sizes``.
+    """The sums of exactly c elements of a gapless multiset, for each c in ``sizes``.
 
-    ``counts`` maps each value to its (positive) multiplicity. Returns
-    {c: bitmask over the sums attainable with exactly c elements}, 0 when c
-    exceeds the multiset's size. When the distinct values are consecutive
-    integers, the exchange lemma gives each row as the full range from the
-    sum of the c smallest elements to the sum of the c largest: in a
-    selection that is not the largest, let x be the largest selected value
-    below some unselected one and y the least unselected value above x;
-    every value strictly between them exists and is fully selected, so
-    y = x + 1, and swapping x for y adds exactly 1. Any other histogram is
-    expanded into its elements and served by row 0 of :func:`_suffix_sums`.
+    ``counts`` maps each value to its (positive) multiplicity, and its
+    distinct values must be consecutive integers, as in every interval
+    profile; any other histogram raises :class:`DomainError` (row 0 of
+    :func:`_suffix_sums` serves those). Returns {c: bitmask over the sums
+    attainable with exactly c elements}, 0 when c exceeds the multiset's
+    size. The exchange lemma gives each row as the full range from the sum
+    of the c smallest elements to the sum of the c largest: in a selection
+    that is not the largest, let x be the largest selected value below some
+    unselected one and y the least unselected value above x; every value
+    strictly between them exists and is fully selected, so y = x + 1, and
+    swapping x for y adds exactly 1.
     """
     ascending = sorted(counts.items())
     if ascending[-1][0] - ascending[0][0] + 1 != len(ascending):
-        row = _suffix_sums([v for v, m in ascending for _ in range(m)], max(sizes))[0]
-        return {c: row[c] for c in sizes}
+        raise DomainError(f"{len(ascending)} distinct values from {ascending[0][0]} to "
+                          f"{ascending[-1][0]} are not consecutive integers")
     total = sum(counts.values())
     return {c: _between(_first_sum(ascending, c), _first_sum(reversed(ascending), c))
             if c <= total else 0 for c in sizes}

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import enum
 import hashlib
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from addtriples import cli, spectrum, verify
+from addtriples import cli, construction, spectrum, verify
+from addtriples.construction import ConstructionWitness, construct, extreme_sums
 from addtriples.residues import IntRuns, ResidueSet
 
 DATA = Path(__file__).parent / "data"
@@ -437,6 +439,84 @@ def test_runs_refuse_ints_past_the_digit_limit_as_json_dumps_does():
         cli.render_json({"x": IntRuns([(10**5000, 10**5000 + 2)])})
 
 
+# Selection sizes at and around the block writer's edges, where a count-2 segment
+# going down crosses 1001, 1000, 999 or 10000, 9999, and whole floor runs past 1000.
+_EDGES = [1, 2, 999, 1000, 1001, 1002, 9999, 10000, 10001, 10002]
+
+
+@st.composite
+def _construct_instances(draw):
+    """(p, s, t, r) with r in [r1, r2]: the ends of the interval and their neighbours,
+    where w sits next to a run of the selection, and any r between."""
+    p = draw(st.one_of(st.integers(1, 40).map(lambda h: 2 * h + 1),
+                       st.sampled_from([2003, 2999, 3001, 20001, 20005, 24001])))
+    near = st.sampled_from([x for x in _EDGES if x < p] + [p // 2, p // 2 + 1, p - 1])
+    t = draw(st.one_of(st.integers(1, p - 1), near))
+    s = draw(st.one_of(st.integers(1, p - 1), near))
+    r1, r2 = extreme_sums(p, s, t)
+    r = draw(st.one_of(st.integers(r1, r2),
+                       st.sampled_from([r1 + 1, r1 + 2, r2 - 2, r2 - 1, (r1 + r2) // 2])))
+    return p, s, t, min(max(r, r1), r2)
+
+
+def _listed(value_counts):
+    """The [value, count] rows of a ValueCounts, largest value first."""
+    return [[v, count] for high, low, count in value_counts.segments
+            for v in range(high, low - 1, -1)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_construct_instances())
+@example((11, 4, 5, 7))
+@example((11, 10, 5, 22))  # s = p - 1
+@example((5001, 4500, 1500, 1562250))  # w, a run down through 1000, and 2002 floors
+@example((20001, 10002, 10002, 75030003))  # one run down through 10000 and 9999
+def test_selection_renders_as_its_listed_rows(args):
+    p, s, t, r = args
+    payload, code = cli._run_construct(argparse.Namespace(p=p, s=s, t=t, r=r))
+    assert code == cli.EXIT_OK
+    pairs = _listed(payload["selection"])
+    assert pairs == list(map(list, construct(p, s, t, r).selection.items()))
+    if (p, s, t, r) == (11, 4, 5, 7):
+        assert pairs == [[5, 1], [2, 1], [0, 2]]
+    listed = {**payload, "selection": pairs, "witness_a": list(payload["witness_a"]),
+              "witness_b": list(payload["witness_b"])}
+    assert cli.render_json(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
+
+
+def test_value_counts_render_as_their_rows_at_any_depth():
+    segments = [(10**6 + 1, 10**6 + 1, 1), (10**6, 10**6 - 1001, 2), (1500, 998, 2),
+                (7, 7, 3000), (5, 0, 3)]
+    counts = cli.ValueCounts(segments)
+    rows = _listed(counts)
+    for depth in range(3):
+        assert (cli.render_json({"x": _nested(counts, depth), "e": cli.ValueCounts(())})
+                == json.dumps({"x": _nested(rows, depth), "e": []}, indent=2, sort_keys=True)
+                + "\n")
+
+
+def test_block_cache_sees_one_separator_per_form():
+    # 200 construct calls whose floor counts and one-value counts all differ: the
+    # block writer caches its text per separator, so no count may reach one. The
+    # JSON writes A, B and the selection's count-2 segments with two separators,
+    # the CSV A and B with a third.
+    floors, ends = set(), set()
+    misses = cli._int_blocks.cache_info().misses
+    for i in range(200):
+        p, t = 4001 + 4 * i, 1000 + i  # floor 0 with p - 2t + 1 = 2002 + 2i copies
+        s = p - 2 * t + 1 + 3 * i + 1  # every floor and 3i + 1 more
+        r = extreme_sums(p, s, t)[0] + 1 + i  # the s smallest but one, and w
+        args = ["construct", "--p", str(p), "--s", str(s), "--t", str(t), "--r", str(r)]
+        segments = construct(p, s, t, r).selection_segments
+        floors.add(segments[-1][2])
+        ends.update((high, count) for high, low, count in segments if high == low)
+        for form in ([], ["--format", "csv"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(args + form) == 0, args
+    assert len(floors) == 200 and len(ends) > 400
+    assert cli._int_blocks.cache_info().misses - misses <= 3
+
+
 # The default JSON and CSV of a large construct and a mirrored multiset-dp
 # spectrum (s > p/2), and the CSV of every other command, pinned byte for byte
 # by sha256.
@@ -497,6 +577,9 @@ def test_cli_writes_runs_without_listing_their_ints(capsys, monkeypatch):
                         (IntRuns, "__iter__"), (IntRuns, "__getitem__")]:
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.setattr(spectrum, "bit_positions", refuse)
+    # construct's selection is written from its segments: no dict of it is built
+    monkeypatch.setattr(ConstructionWitness, "selection", property(refuse))
+    monkeypatch.setattr(construction, "_selection_counts", refuse)
     for argv, digest in _RUN_PINS:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
@@ -506,7 +589,8 @@ def test_cli_writes_runs_without_listing_their_ints(capsys, monkeypatch):
 def test_construct_peak_memory_stays_near_its_output_size():
     # The witness texts and their join are the output's size or so; listing A
     # and B as ints took the traced peak to 5.3x the output at p = 2^20 + 1,
-    # and writing them by runs to 3.4x on CPython 3.11.
+    # writing them by runs to 3.4x, and writing the selection by its segments
+    # too to 2.0x on CPython 3.11.
     with contextlib.redirect_stdout(io.StringIO()):  # parser and block texts built first
         assert cli.main(["construct", "--p", "9", "--s", "7", "--t", "6", "--r", "27"]) == 0
     sink = io.StringIO()
@@ -517,7 +601,7 @@ def test_construct_peak_memory_stays_near_its_output_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * len(sink.getvalue()), (peak, len(sink.getvalue()))
+    assert peak < 2.5 * len(sink.getvalue()), (peak, len(sink.getvalue()))
 
 
 def _fresh_interpreter(code, *args):

@@ -11,6 +11,7 @@ from addtriples import bounds, counting
 from addtriples.construction import (
     ShiftProfile,
     _select,
+    _selection_counts,
     UnattainableTargetError,
     build_shift_profile,
     construct,
@@ -161,8 +162,8 @@ def construction_instances():
 
 def selection_of(p, s, t, r):
     # construct's selection for s <= p - 1; at s = p, which construct refuses, the
-    # selection rule it runs.
-    return construct(p, s, t, r).selection if s < p else _select(p, t, s, r)[0]
+    # selection rule it runs, listed as the witness lists its segments.
+    return construct(p, s, t, r).selection if s < p else _selection_counts(_select(p, t, s, r)[0])
 
 
 class TestSelectMultisubset:
@@ -360,11 +361,12 @@ class TestConstruct:
         assert brute_count(p, list(w.a_set), list(w.b_set)) == r
 
     def test_realises_its_runs_without_a_per_value_pass(self):
-        # At p = 2^20 + 1 and s = t = 2^19 the selection holds 2^18 + 1 values.
-        # construct sets its runs as O(1) residue ranges and recounts them, so its
-        # traced peak is the selection's: 280 B above _select's alone on CPython
-        # 3.11. A per-value pass that lists A's residues costs over 4p bytes, so a
-        # peak p bytes above _select's means one is back.
+        # At p = 2^20 + 1 and s = t = 2^19 the selection holds 2^18 + 1 values in
+        # three segments. _select writes segments, not values: its traced peak is
+        # about 2 kB. construct sets its runs as O(1) residue ranges and recounts
+        # them off the binary digits of A, a p-byte string: its peak is 1.27p bytes
+        # on CPython 3.11. A per-value pass that lists the selection or A's
+        # residues costs over 4p bytes, so a peak of 2p bytes means one is back.
         p, s, t = 2**20 + 1, 2**19, 2**19
         r = extreme_sums(p, s, t)[1]
 
@@ -378,7 +380,8 @@ class TestConstruct:
 
         selection = traced_peak(lambda: _select(p, t, s, r))
         runs = traced_peak(lambda: construct(p, s, t, r))
-        assert runs < selection + p, (runs, selection)
+        assert selection < 2**16, selection
+        assert runs < 2 * p, (runs, selection)
 
     def test_construct_and_count_interval_stay_linear_in_p(self):
         # From p ~ 2^18 to p ~ 2^20 linear work takes about 4x the time and quadratic

@@ -147,7 +147,7 @@ class TestSelectionSums:
             self._assert_rows_match_the_oracle(counts, sizes)
 
     @staticmethod
-    def _assert_rows_match_the_oracle(counts, sizes, engine=_attainable_selection_sums):
+    def _assert_rows_match_the_oracle(counts, sizes, engine=_dp_rows):
         values = [v for v, m in counts.items() for _ in range(m)]
         oracle = selection_sums(values, max(sizes))
         rows = engine(counts, sizes)
@@ -157,14 +157,15 @@ class TestSelectionSums:
 
     @pytest.mark.parametrize("p", [7, 9, 15, 21, 31])
     def test_interval_profiles_match_the_oracle(self, p):
-        # Interval profiles are gapless, so the dispatcher would never reach the DP;
-        # the DP is called directly
+        # Interval profiles are gapless, so _attainable_selection_sums serves them by
+        # the lemma alone; here, as for every histogram in this class, the DP is
+        # called directly, and TestGaplessFastPath checks the lemma against it
         for t in range(1, p):
             counts = build_shift_profile(p, t).counts
             for s in range(1, p):
-                self._assert_rows_match_the_oracle(counts, (s,), _dp_rows)
-            self._assert_rows_match_the_oracle(counts, range(1, p), _dp_rows)
-            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1), _dp_rows)
+                self._assert_rows_match_the_oracle(counts, (s,))
+            self._assert_rows_match_the_oracle(counts, range(1, p))
+            self._assert_rows_match_the_oracle(counts, (1, 2, p - 2, p - 1))
 
     @pytest.mark.parametrize("p", [9, 15, 21])
     def test_random_b_histograms_match_the_oracle(self, p):
@@ -184,9 +185,8 @@ class TestSelectionSums:
         {5: 1, 6: 2, 9: 4, 11: 2},
     ])
     def test_a_last_pair_with_row_1_or_2_lowest_live(self, counts):
-        # histograms with a hole, so the dispatcher serves them by the DP: every
-        # size alone and with each larger one, the rows next to a last value of
-        # two copies included
+        # histograms with a hole, which only the DP serves: every size alone and
+        # with each larger one, the rows next to a last value of two copies included
         total = sum(counts.values())
         for least in range(1, total + 1):
             self._assert_rows_match_the_oracle(counts, (least,))
@@ -195,7 +195,7 @@ class TestSelectionSums:
 
 
 class TestGaplessFastPath:
-    """The dispatcher's exchange-lemma rows against the DP."""
+    """The exchange-lemma rows against the DP, and its refusal of a histogram with a hole."""
 
     @staticmethod
     def _spy_on_the_core(monkeypatch):
@@ -235,12 +235,15 @@ class TestGaplessFastPath:
             assert spectrum_multiset_dp(p, s, t).is_exact_interval()
         assert calls == []
 
-    def test_a_histogram_with_a_hole_reaches_the_dp_core(self, monkeypatch):
+    def test_a_histogram_with_a_hole_is_refused(self, monkeypatch):
+        # the lemma needs consecutive values; the DP serves a hole, and the
+        # refusal comes before any DP work
         calls = self._spy_on_the_core(monkeypatch)
         counts = {0: 3, 2: 2}
-        assert _attainable_selection_sums(counts, (1, 2, 3)) == {
-            1: 0b101, 2: 0b10101, 3: 0b10101}
-        assert calls == [counts]
+        with pytest.raises(DomainError):
+            _attainable_selection_sums(counts, (1, 2, 3))
+        assert calls == []
+        assert _dp_rows(counts, (1, 2, 3)) == {1: 0b101, 2: 0b10101, 3: 0b10101}
         rng = random.Random("selection-sums:hole")
         while True:
             b = rng.sample(range(21), rng.randint(2, 19))
@@ -248,8 +251,10 @@ class TestGaplessFastPath:
             if max(counts) - min(counts) + 1 > len(counts):
                 break
         sizes = (1, 10, 20)
-        assert _attainable_selection_sums(counts, sizes) == _dp_rows(counts, sizes)
-        assert calls[1:] == [counts]
+        with pytest.raises(DomainError):
+            _attainable_selection_sums(counts, sizes)
+        assert calls == []
+        TestSelectionSums._assert_rows_match_the_oracle(counts, sizes)
 
 
 class TestFixedInterval:
