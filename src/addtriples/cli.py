@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import operator
+import os
 import sys
 from itertools import accumulate, chain, product
 
@@ -130,8 +131,91 @@ def build_parser() -> _Parser:
 
     for command in sub.choices.values():  # main reports stray arguments with their own usage
         command.set_defaults(command_parser=command)
-    parser.commands = sub.choices  # name -> subcommand parser, for main's direct dispatch
+    # name -> the subcommand's option table, read off its parser once, for _parse
+    parser.commands = {name: _OptionTable(command) for name, command in sub.choices.items()}
     return parser
+
+
+_VALUE = object()  # an _OptionTable entry's const for an option that takes one value
+# the errors of an option's type that argparse reports as a usage error
+_TYPE_ERRORS = (argparse.ArgumentTypeError, TypeError, ValueError)
+
+
+class _OptionTable:
+    """One subcommand's options, read once off its argparse actions, for :func:`_parse`.
+
+    ``options`` maps the option strings of each plain store action (one value,
+    or a ``nargs == 0`` flag storing its ``const``) to (dest, type, choices,
+    const), with ``_VALUE`` as the const of an option that takes a value.
+    ``defaults`` is what argparse puts in the namespace before it parses:
+    each action's default, then the subparser's ``set_defaults``. ``converted``
+    holds the (dest, type) of the string defaults that have a type, which
+    argparse passes through it when the option is absent, and ``required``
+    the dests that must be given.
+    """
+
+    __slots__ = ("options", "defaults", "converted", "required")
+
+    def __init__(self, command: argparse.ArgumentParser) -> None:
+        self.options: dict[str, tuple] = {}
+        self.defaults: dict[str, object] = {}
+        self.converted: list[tuple[str, object]] = []
+        for action in command._actions:
+            if type(action) is argparse._StoreAction and action.nargs is None:
+                entry = (action.dest, action.type, action.choices, _VALUE)
+            elif isinstance(action, argparse._StoreConstAction) and action.nargs == 0:
+                entry = (action.dest, None, None, action.const)
+            else:
+                entry = None  # help, or any other action: its option strings go to argparse
+            if entry is not None:
+                self.options.update(dict.fromkeys(action.option_strings, entry))
+            if action.dest != argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                self.defaults.setdefault(action.dest, action.default)
+                if isinstance(action.default, str) and action.type is not None:
+                    self.converted.append((action.dest, action.type))
+        for dest, value in command._defaults.items():
+            self.defaults.setdefault(dest, value)
+        self.required = frozenset(action.dest for action in command._actions if action.required)
+
+    def parse(self, argv: list[str]) -> argparse.Namespace | None:
+        """The namespace argparse gives ``argv`` (argv[0] this command), or None unless well-formed.
+
+        Well-formed is every token after the command an exact option string of
+        the table, each given once: a flag alone, any other option followed by
+        one value that does not start with '-' and that its type and choices
+        accept; and every required option given. None sends ``argv`` to argparse.
+        """
+        options, given = self.options, {}
+        i, n = 1, len(argv)
+        while i < n:
+            entry = options.get(argv[i])
+            if entry is None or entry[0] in given:
+                return None
+            dest, convert, choices, value = entry
+            if value is _VALUE:
+                i += 1
+                if i == n or argv[i][:1] == "-":
+                    return None
+                try:
+                    value = argv[i] if convert is None else convert(argv[i])
+                except _TYPE_ERRORS:
+                    return None
+                if choices is not None and value not in choices:
+                    return None
+            given[dest] = value
+            i += 1
+        if not self.required <= given.keys():
+            return None
+        values = {"command": argv[0], **self.defaults, **given}
+        for dest, convert in self.converted:
+            if dest not in given:
+                try:
+                    values[dest] = convert(values[dest])
+                except _TYPE_ERRORS:
+                    return None
+        args = argparse.Namespace()
+        vars(args).update(values)
+        return args
 
 
 def _witness_rows(witnesses: dict[int, Witness]) -> list[dict]:
@@ -487,24 +571,57 @@ _parser: _Parser | None = None
 
 
 def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, list[str]]:
-    """``_parser.parse_known_args(argv)``, in one argparse pass when argv[0] names a command.
+    """``_parser.parse_known_args(argv)``, read off an option table when argv is well-formed.
 
-    The top-level parser would hand everything after the command name,
-    unchanged, to that command's parser and copy its namespace onto one
-    holding ``command``; here that parser is called directly. Any other argv
-    (empty, ``-h``, an unknown command) goes through the top-level parser,
-    so its usage, help and errors are its own.
+    When argv[0] names a command and the rest is well-formed for it (see
+    :meth:`_OptionTable.parse`), argparse would give the namespace that the
+    command's table gives in one pass, with no extras. Any other argv (none,
+    help, an unknown or abbreviated option, ``--opt=value``, a repeated
+    option, a value starting with '-', ``--``, a stray argument, a bad value,
+    a missing required option) goes to the top-level parser, so its usage,
+    help and errors are its own.
     """
     global _parser
     if _parser is None:  # built on first use, then shared by every call in the process
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return _parser.parse_known_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    args.command = argv[0]
-    return args, extras
+    table = _parser.commands.get(argv[0]) if argv else None
+    args = table.parse(argv) if table is not None else None
+    return (args, []) if args is not None else _parser.parse_known_args(argv)
+
+
+_WRITE_CHUNK = 1 << 22  # characters per write; one Linux write() takes up to 0x7ffff000 bytes
+
+
+def _write(stream, text: str) -> None:
+    """Write ``text`` to the text stream ``stream`` in chunks of a few MB, then flush it.
+
+    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), each write to
+    ``sys.stdout`` is one write() of its descriptor, and the text layer drops
+    a short count: one write of 2 GB or more would be cut at Linux's cap with
+    no error. Each chunk stays far below it. The flush brings a buffered
+    stream's write errors here, so the caller reports them.
+    """
+    for start in range(0, len(text), _WRITE_CHUNK):
+        stream.write(text[start:start + _WRITE_CHUNK])
+    stream.flush()
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at os.devnull, after a write to it failed.
+
+    A buffered stdout keeps the bytes it could not write, and the interpreter
+    flushes it at exit, which would fail again, print "Exception ignored" and
+    exit 120. This is the remedy Python's ``signal`` docs give for a closed
+    pipe. A stream with no descriptor, such as ``io.StringIO``, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -527,15 +644,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"addtriples: internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     text = render_json(payload) if args.format == "json" else render_csv(csv_rows(payload))
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"addtriples: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+                _write(handle, text)
+        else:
+            _write(sys.stdout, text)
+    except OSError as exc:
+        print(f"addtriples: cannot write {args.output or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        if not args.output:
+            _discard_stdout()
+        return EXIT_USAGE
     return code
 
 

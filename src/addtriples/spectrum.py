@@ -26,16 +26,17 @@ gapless, its values running from max(0, 2t - p) to t, so ``multiset-dp``
 reads its row off the sorted histogram by the lemma alone, which refuses
 any histogram with a hole.
 
-Every mode hands its attained values to the report as one bitmask, and the
-report reads the attained values, the gaps inside the closed-form interval
-[f, g] and any exceptional values outside it off that bitmask, run by run
-from its binary digits, without numpy. It holds each as an ``IntRuns``, a
-sequence of ints kept as its runs, so an interval spectrum of any length is
-one run and its values are never listed unless a caller iterates them. The
-three (p, s, t) modes take f, g and primality from one ``bounds_for`` call,
-which validates the instance once. For prime p there are provably no gaps
-and no exceptions; for composite odd p exceptions exist (the scanner below
-hunts for them). An exhaustive witness takes the
+Every mode hands its attained values to the report as runs: the bitmask
+engines read them off their bitmask once with ``bit_runs``, from its binary
+digits and without numpy, and ``multiset-dp`` hands over the lemma's one run.
+The report finds the gaps inside the closed-form interval [f, g] and any
+exceptional values outside it by arithmetic on those runs. It holds each as
+an ``IntRuns``, a sequence of ints kept as its runs, so an interval spectrum
+of any length is one run and its values are never listed unless a caller
+iterates them. The three (p, s, t) modes take f, g and primality from one
+``bounds_for`` call, which validates the instance once. For prime p there
+are provably no gaps and no exceptions; for composite odd p exceptions
+exist (the scanner below hunts for them). An exhaustive witness takes the
 lex-first t-set B containing 0 that attains the value, then the lex-first
 s-set A for that B, and is recounted by the naive counting oracle before it
 is returned; the scanner makes witnesses for its exceptions only. (``construct``'s
@@ -175,23 +176,38 @@ def _between(f: int, g: int) -> int:
 def _make_report(
     interval: BoundsResult,
     mode: str,
-    attained: int,
+    attained: Iterable[tuple[int, int]],
     witnesses: dict[int, Witness] | None,
     started: float,
 ) -> SpectrumReport:
-    """The report for the values whose bits are set in ``attained``, against [f, g]."""
+    """The report for the values in the ascending, disjoint runs ``attained``, against [f, g].
+
+    The gaps are the runs of [f, g] that no attained run covers, and the
+    exceptions the parts of the attained runs outside it: O(runs) steps.
+    """
     f, g = interval.f, interval.g
-    inside = _between(f, g)
+    attained = IntRuns(attained)
+    gaps, exceptions, covered = [], [], f  # [f, covered) is attained or a gap already
+    for start, stop in attained.runs:
+        if start < f:
+            exceptions.append((start, min(stop, f)))
+        if stop > g + 1:
+            exceptions.append((max(start, g + 1), stop))
+        if covered < min(start, g + 1):
+            gaps.append((covered, min(start, g + 1)))
+        covered = max(covered, stop)
+    if covered < g + 1:
+        gaps.append((covered, g + 1))
     return SpectrumReport(
         p=interval.p,
         s=interval.s,
         t=interval.t,
         mode=mode,
-        attained=IntRuns(bit_runs(attained)),
+        attained=attained,
         f=f,
         g=g,
-        gaps=IntRuns(bit_runs(inside & ~attained)),
-        exceptions=IntRuns(bit_runs(attained & ~inside)),
+        gaps=IntRuns(gaps),
+        exceptions=IntRuns(exceptions),
         prime=interval.guaranteed,
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,
@@ -299,7 +315,7 @@ def spectrum_exhaustive(
     started = time.perf_counter()
     attained, witnesses = _exhaustive_pass(p, t, {s: -1 if want_witnesses else 0})
     return _make_report(
-        interval, "exhaustive", attained[s],
+        interval, "exhaustive", bit_runs(attained[s]),
         witnesses[s] if want_witnesses else None, started,
     )
 
@@ -327,22 +343,25 @@ def spectrum_fixed_interval(
     first = _first_a_per_value(p, s, lambda a_tuple: sum(values[a] for a in a_tuple))
     witnesses = {r: (a_tuple, tuple(range(t))) for r, a_tuple in first.items()}
     return _make_report(
-        interval, "fixed-interval-B", sum(1 << r for r in first),
+        interval, "fixed-interval-B", bit_runs(sum(1 << r for r in first)),
         witnesses if want_witnesses else None, started,
     )
 
 
-def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -> dict[int, int]:
+def _attainable_selection_sums(
+    counts: dict[int, int], sizes: Collection[int],
+) -> dict[int, tuple[tuple[int, int], ...]]:
     """The sums of exactly c elements of a gapless multiset, for each c in ``sizes``.
 
     ``counts`` maps each value to its (positive) multiplicity, and its
     distinct values must be consecutive integers, as in every interval
     profile; any other histogram raises :class:`DomainError` (row 0 of
-    :func:`_suffix_sums` serves those). Returns {c: bitmask over the sums
-    attainable with exactly c elements}, 0 when c exceeds the multiset's
-    size. The exchange lemma gives each row as the full range from the sum
-    of the c smallest elements to the sum of the c largest: in a selection
-    that is not the largest, let x be the largest selected value below some
+    :func:`_suffix_sums` serves those). Returns {c: the runs of the sums
+    attainable with exactly c elements}, as :func:`bit_runs` reads them off
+    a row of the DP: one run, or none when c exceeds the multiset's size.
+    The exchange lemma gives each row as the full range from the sum of the
+    c smallest elements to the sum of the c largest: in a selection that is
+    not the largest, let x be the largest selected value below some
     unselected one and y the least unselected value above x; every value
     strictly between them exists and is fully selected, so y = x + 1, and
     swapping x for y adds exactly 1.
@@ -352,8 +371,8 @@ def _attainable_selection_sums(counts: dict[int, int], sizes: Collection[int]) -
         raise DomainError(f"{len(ascending)} distinct values from {ascending[0][0]} to "
                           f"{ascending[-1][0]} are not consecutive integers")
     total = sum(counts.values())
-    return {c: _between(_first_sum(ascending, c), _first_sum(reversed(ascending), c))
-            if c <= total else 0 for c in sizes}
+    return {c: ((_first_sum(ascending, c), _first_sum(reversed(ascending), c) + 1),)
+            if c <= total else () for c in sizes}
 
 
 def _first_sum(items: Iterable[tuple[int, int]], c: int) -> int:
@@ -372,7 +391,7 @@ def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
 
     The interval's overlap values run from max(0, 2t - p) to t with no hole,
     so the engine serves size s by the exchange lemma, off the sorted
-    histogram, and runs no DP.
+    histogram, runs no DP, and hands the report the lemma's one run.
     """
     interval = bounds_for(p, s, t)
     started = time.perf_counter()
@@ -401,7 +420,7 @@ def schur_spectrum(
     first = _first_a_per_value(p, s, schur_count)
     witnesses = {r: (a_tuple, a_tuple) for r, a_tuple in first.items()}
     return _make_report(
-        interval, "schur-exhaustive", sum(1 << r for r in first),
+        interval, "schur-exhaustive", bit_runs(sum(1 << r for r in first)),
         witnesses if want_witnesses else None, started,
     )
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import enum
+import errno
 import hashlib
 import io
 import json
@@ -586,6 +587,73 @@ def test_cli_writes_runs_without_listing_their_ints(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+class _CappedRaw(io.RawIOBase):
+    """A raw writer that takes at most ``cap`` bytes per call, as one Linux write()
+    takes at most 0x7ffff000, or refuses every byte with ENOSPC while ``full``."""
+
+    def __init__(self, cap=None, full=False):
+        self.cap, self.full, self.received = cap, full, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        taken = bytes(data[:self.cap])
+        self.received += taken
+        return len(taken)
+
+
+def _text_stream(raw, buffered):
+    """sys.stdout's layers over ``raw``: buffered, or unbuffered as under ``python -u``."""
+    return io.TextIOWrapper(io.BufferedWriter(raw) if buffered else raw, encoding="utf-8",
+                            write_through=not buffered)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_stdout_receives_every_byte_through_short_writes(buffered):
+    # Unbuffered, the text layer hands each write to the descriptor whole and drops a
+    # short count: one write of this 21.5 MB JSON to a raw that takes 8 MiB per call
+    # kept 8 MiB of it, as one write past Linux's cap keeps 0x7ffff000 bytes
+    raw = _CappedRaw(cap=1 << 23)
+    stream = _text_stream(raw, buffered)
+    with contextlib.redirect_stdout(stream):
+        assert cli.main(list(_RUN_PINS[0][0])) == 0
+    stream.flush()
+    assert hashlib.sha256(raw.received).hexdigest() == _RUN_PINS[0][1]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [("bounds", "--p", "7", "--s", "3", "--t", "3"), _RUN_PINS[0][0]],
+                         ids=["bounds", "construct"])
+def test_a_full_stdout_exits_1_with_one_line(argv, buffered):
+    raw = _CappedRaw(full=True)
+    stream, err = _text_stream(raw, buffered), io.StringIO()
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    raw.full = False  # the stream's own close then flushes what it holds
+    assert code == 1
+    assert err.getvalue() == "addtriples: cannot write stdout: No space left on device\n"
+
+
+MAIN = "import sys; from addtriples.cli import main; sys.exit(main())"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("bounds", "--p", "7", "--s", "3", "--t", "3"),
+                                  ("construct", "--p", "100001", "--s", "50000", "--t", "50000",
+                                   "--r", "1249987500")], ids=["bounds", "construct"])
+def test_writing_to_dev_full_exits_1_with_one_stderr_line(argv, unbuffered):
+    # before: unbuffered, a traceback and exit 1; buffered, "Exception ignored" from
+    # the interpreter's flush at exit, and exit 120
+    with open("/dev/full", "w") as full:
+        proc = _fresh_interpreter(MAIN, *argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "addtriples: cannot write stdout: No space left on device\n"
+
+
 def test_construct_peak_memory_stays_near_its_output_size():
     # The witness texts and their join are the output's size or so; listing A
     # and B as ints took the traced peak to 5.3x the output at p = 2^20 + 1,
@@ -604,12 +672,14 @@ def test_construct_peak_memory_stays_near_its_output_size():
     assert peak < 2.5 * len(sink.getvalue()), (peak, len(sink.getvalue()))
 
 
-def _fresh_interpreter(code, *args):
-    """Run ``code`` in a new interpreter that imports this addtriples package."""
+def _fresh_interpreter(code, *args, stdout=subprocess.PIPE, **env):
+    """Run ``code`` in a new interpreter that imports this addtriples package, with
+    ``env`` added to its environment."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path, **env},
+                          timeout=120)
 
 
 NO_NUMPY_MAIN = ("import sys; sys.modules['numpy'] = None; "
@@ -741,8 +811,11 @@ def _parsed(parse, argv):
     return (*result, code, out.getvalue(), err.getvalue())
 
 
-# main parses a call whose argv[0] names a command with that command's parser
-# alone; it must see what the top-level parser would have handed on.
+# main reads a well-formed call off its command's option table, and hands any
+# other to the top-level parser; either way it must see what that parser gives.
+_PST = ["--p", "7", "--s", "3", "--t", "3"]
+
+
 @settings(deadline=None, max_examples=300)
 @given(_ARGV)
 @example(["construct", "-h"])
@@ -756,7 +829,26 @@ def _parsed(parse, argv):
 @example(["-h", "construct"])
 @example([])
 @example(["constr"])  # a prefix of a command name is no command
-def test_direct_dispatch_parses_as_the_top_level_parser(argv):
-    direct = _parsed(cli._parse, argv)  # builds the shared parser if no call has yet
+# well-formed: the table's path, string defaults through their type included
+@example(["construct", *_PST, "--r", "4"])
+@example(["spectrum", *_PST, "--witnesses", "--timing", "--budget", "9", "--format", "csv"])
+@example(["spectrum", *_PST])  # --mode's default "exhaustive" goes through _mode
+@example(["verify", "--p", "5,7", "--trials", "2"])
+@example(["count", "--p", "5", "--set-a", "", "--set-b", "0,1"])  # an empty value
+@example(["spectrum", *_PST, "--mode", "MULTISET-DP"])  # its type gives "multiset-dp"
+# each case the table hands to argparse
+@example(["construct", "--p", "7", "--p", "9", "--s", "3", "--t", "3", "--r", "4"])  # given twice
+@example(["construct", *_PST, "--r", "-5"])  # a value starting with '-'
+@example(["verify", "--p", "5", "--trials", "1", "--seed", "-3"])
+@example(["count", "--p", "5", "--set-a", "-1,2", "--set-b", "0"])  # an option to argparse
+@example(["construct", *_PST, "--r"])  # a value-taking option last
+@example(["spectrum", *_PST, "--wit"])  # an abbreviation
+@example(["spectrum", *_PST, "--witnesses", "--witnesses"])
+@example(["bounds", *_PST, "--format", "xml"])  # outside choices
+@example(["spectrum", *_PST, "--mode", "bogus"])  # a type that raises
+@example(["construct", "--p", "7", "-h", "--s", "3"])  # -h mid-argv
+@example(["construct", "--p", "7", "--s", "3", "--r", "4"])  # --t missing
+def test_parse_matches_the_top_level_parser(argv):
+    table = _parsed(cli._parse, argv)  # builds the shared parser if no call has yet
     top_level = _parsed(cli._parser.parse_known_args, argv)
-    assert direct == top_level, argv
+    assert table == top_level, argv

@@ -6,11 +6,12 @@ from math import comb, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from addtriples import counting, residues, spectrum
-from addtriples.bounds import lower_bound, upper_bound
+from addtriples.bounds import BoundsResult, lower_bound, upper_bound
 from addtriples.construction import build_shift_profile, shift_overlap
-from addtriples.residues import DomainError, VerificationError, bit_positions, make_set
+from addtriples.residues import DomainError, VerificationError, bit_positions, bit_runs, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
     _attainable_selection_sums,
@@ -18,6 +19,7 @@ from addtriples.spectrum import (
     _check_budget,
     _distinct_profiles,
     _exhaustive_pass,
+    _make_report,
     _suffix_sums,
     exception_scan,
     schur_spectrum,
@@ -39,6 +41,11 @@ def _dp_rows(counts, sizes):
     over the elements of ``counts``, whatever their histogram, with no lemma in between."""
     row = _suffix_sums([v for v, m in counts.items() for _ in range(m)], max(sizes))[0]
     return {c: row[c] for c in sizes}
+
+
+def _dp_runs(counts, sizes):
+    """{c: the runs of row c of the selection-sum DP}, as _attainable_selection_sums gives them."""
+    return {c: bit_runs(row) for c, row in _dp_rows(counts, sizes).items()}
 
 
 class TestExhaustive:
@@ -212,7 +219,7 @@ class TestGaplessFastPath:
             for t in range(1, p):
                 counts = build_shift_profile(p, t).counts
                 rows = _attainable_selection_sums(counts, range(1, p))
-                assert rows == _dp_rows(counts, range(1, p)), (p, t)
+                assert rows == _dp_runs(counts, range(1, p)), (p, t)
 
     def test_random_gapless_histograms_equal_the_dp_core(self):
         # sizes run past the multiset's size, where both give the row 0
@@ -223,14 +230,15 @@ class TestGaplessFastPath:
             total = sum(counts.values())
             sizes = sorted({*rng.sample(range(1, total + 3), min(total + 2, 4)), total, total + 1})
             rows = _attainable_selection_sums(counts, sizes)
-            assert rows == _dp_rows(counts, sizes), (counts, sizes)
-            assert rows[total] == 1 << sum(v * m for v, m in counts.items())
-            assert rows[total + 1] == 0
+            assert rows == _dp_runs(counts, sizes), (counts, sizes)
+            whole = sum(v * m for v, m in counts.items())
+            assert rows[total] == ((whole, whole + 1),)
+            assert rows[total + 1] == ()
 
     def test_gapless_histograms_skip_the_dp_core(self, monkeypatch):
         calls = self._spy_on_the_core(monkeypatch)
         assert _attainable_selection_sums({3: 1, 4: 5, 5: 2}, (1, 4, 8, 9)) == {
-            1: _between(3, 5), 4: _between(15, 18), 8: 1 << 33, 9: 0}
+            1: ((3, 6),), 4: ((15, 19),), 8: ((33, 34),), 9: ()}
         for p, s, t in [(9, 7, 6), (101, 30, 80), (2001, 1000, 1000)]:
             assert spectrum_multiset_dp(p, s, t).is_exact_interval()
         assert calls == []
@@ -365,6 +373,22 @@ class TestReports:
         for p in range(3, 14, 2):
             for s in range(1, p):
                 check(schur_spectrum(p, s))
+
+    @given(st.integers(0, 2**70), st.integers(0, 72), st.integers(-1, 72))
+    @example(0, 0, 0)  # nothing attained: [f, g] is one gap
+    @example(0b1111, 0, 3)  # exactly [f, g]
+    @example(0b111110000011, 4, 8)  # runs across both ends, one gap inside
+    @example(0b1000000001, 2, 6)  # runs wholly outside on either side
+    @example(1 << 5, 5, 5)  # f = g
+    def test_run_arithmetic_matches_the_bitmask_reading(self, attained, f, width):
+        # the report reads gaps and exceptions off the runs; the bitmask gives them too
+        g = f + width
+        report = _make_report(BoundsResult(99, 1, 1, f, g, False), "any", bit_runs(attained),
+                              None, 0.0)
+        inside = _between(f, g) if g >= f else 0
+        assert report.attained.runs == bit_runs(attained)
+        assert report.gaps.runs == bit_runs(inside & ~attained)
+        assert report.exceptions.runs == bit_runs(attained & ~inside)
 
     def test_each_report_validates_its_instance_once(self, monkeypatch):
         # f, g and primality come from one bounds_for, so one Params and one primality test
