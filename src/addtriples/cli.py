@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; help written to stdout raises, so main reports it
+        if message and file is sys.stdout:
+            _write(file, message)
+        else:
+            super()._print_message(message, file)
+
 
 def _residue_list(text: str) -> list[int]:
     """Parse a comma-separated residue list; the empty string is the empty set."""
@@ -596,15 +603,37 @@ _WRITE_CHUNK = 1 << 22  # characters per write; one Linux write() takes up to 0x
 def _write(stream, text: str) -> None:
     """Write ``text`` to the text stream ``stream`` in chunks of a few MB, then flush it.
 
-    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), each write to
-    ``sys.stdout`` is one write() of its descriptor, and the text layer drops
-    a short count: one write of 2 GB or more would be cut at Linux's cap with
-    no error. Each chunk stays far below it. The flush brings a buffered
-    stream's write errors here, so the caller reports them.
+    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), ``sys.stdout`` sits on
+    a raw stream, each write is one write() of its descriptor, and the text
+    layer drops the count it returns. A write cut short (by Linux's cap of
+    0x7ffff000 bytes, a reader that closes the pipe part-way, a disk that
+    fills part-way) would end with no error. So over a raw stream each chunk
+    is encoded here and written until the counts add up to it; the next
+    write after a short one reports the error. A buffered stream checks its
+    counts itself, and the flush brings its write errors here, so the caller
+    reports them. A stream with no ``buffer``, such as ``io.StringIO``, takes
+    the text.
     """
+    raw = getattr(stream, "buffer", None)
+    if raw is None or not isinstance(raw, io.RawIOBase):  # None skips the slower ABC check
+        for start in range(0, len(text), _WRITE_CHUNK):
+            stream.write(text[start:start + _WRITE_CHUNK])
+        stream.flush()
+        return
+    stream.flush()  # anything the text layer holds goes first
     for start in range(0, len(text), _WRITE_CHUNK):
-        stream.write(text[start:start + _WRITE_CHUNK])
-    stream.flush()
+        data = memoryview(text[start:start + _WRITE_CHUNK].encode(stream.encoding, stream.errors))
+        while data:
+            data = data[raw.write(data):]
+
+
+def _write_failed(output: str | None, exc: OSError) -> int:
+    """Report a failed write of the output in one line, and return exit code 1."""
+    print(f"addtriples: cannot write {output or 'stdout'}: {exc.strerror or exc}",
+          file=sys.stderr)
+    if not output:
+        _discard_stdout()
+    return EXIT_USAGE
 
 
 def _discard_stdout() -> None:
@@ -631,6 +660,8 @@ def main(argv: list[str] | None = None) -> int:
             args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # usage error or --help; keep main() total
         return int(exc.code or 0)
+    except OSError as exc:  # --help to a stdout that fails
+        return _write_failed(None, exc)
     run, csv_rows = _COMMANDS[args.command]
     try:
         payload, code = run(args)
@@ -651,11 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write(sys.stdout, text)
     except OSError as exc:
-        print(f"addtriples: cannot write {args.output or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
-        if not args.output:
-            _discard_stdout()
-        return EXIT_USAGE
+        return _write_failed(args.output, exc)
     return code
 
 

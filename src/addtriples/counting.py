@@ -28,18 +28,17 @@ that meet B with :func:`residues.bit_runs`, C-level O(p) scans, and adds a
 closed-form arithmetic series per run, so its Python work is O(runs) and it
 never imports numpy.
 
-:func:`count_naive` and the representation counts behind :func:`count_layers`
-both walk the pair sums a + b in numpy blocks of whole rows of A, each
-holding at most max(_PAIR_BLOCK, |B|) pairs (2^20 pairs, 8 MB, unless B alone
-is larger), so their memory does not grow with |A| * |B|.
+:func:`count_naive` and the representation counts N(c) behind
+:func:`count_layers` each choose one of two kernels by :func:`_dense`. A
+dense kernel reads the length-p windows of a doubled indicator, one strided
+view, and builds no table of pair sums; a sparse one walks ``np.add.outer``
+blocks of the sums a + b, so a sparse pair costs O(|A| * |B|) at any p.
+Every kernel works in blocks of whole rows, so memory does not grow with
+|A| * |B|. N(c) never comes from ``np.convolve`` or from the naive count.
 
-Nothing here keeps state between calls. A caller that wants the naive count
-and N(c) for one pair, as a verify trial does, walks the pair sums once with
-:func:`naive_and_representation_counts`: each block goes through the naive
-membership gather and through the tally, each route keeping its own
-mechanism. N(c) then feeds :func:`count_layers_from_counts`, the core of
-:func:`count_layers`, and :func:`sizes_at_least`, which reads the layer
-sizes off it.
+Nothing here keeps state between calls. N(c) feeds
+:func:`count_layers_from_counts`, the core of :func:`count_layers`, and
+:func:`sizes_at_least`, which reads the layer sizes off it.
 """
 
 from __future__ import annotations
@@ -64,8 +63,21 @@ def _index(x_set: ResidueSet) -> np.ndarray:
     return x_set._member_array
 
 
-# Pairs per block of :func:`_pair_sums`: 8 MB of int64 sums.
+# Pairs per block of :func:`_pair_sums` (8 MB of int64 sums), and bytes per
+# block of :func:`_window_rows` (at most max(_PAIR_BLOCK, p)).
 _PAIR_BLOCK = 1 << 20
+
+# The dense kernels read p cells per walked row where the pair sums read one
+# per pair, and make a few more numpy calls. Measured with numpy 2 at
+# p = 101..4099, they win once the set not walked holds p / _DENSE residues
+# or more and there are at least _DENSE_PAIRS pairs.
+_DENSE = 8
+_DENSE_PAIRS = 1 << 11
+
+
+def _dense(p: int, other: int, pairs: int) -> bool:
+    """Whether a dense kernel beats the pair sums, ``other`` the size of the set not walked."""
+    return _DENSE * other >= p and pairs >= _DENSE_PAIRS
 
 
 def _pair_sums(a_set: ResidueSet, b_set: ResidueSet) -> Iterator[np.ndarray]:
@@ -91,16 +103,48 @@ def _doubled_indicator(b_set: ResidueSet, p: int) -> np.ndarray:
     return in_b
 
 
+def _window_rows(doubled: np.ndarray, p: int, starts: np.ndarray) -> Iterator[np.ndarray]:
+    """The windows ``doubled[x : x + p]`` for x in ``starts`` (each in [0, p]), as 2-d blocks.
+
+    The p + 1 windows of the length-2p array are one read-only view with
+    strides (1, 1), so a row costs nothing until it is gathered. Each block
+    gathers max(1, _PAIR_BLOCK // p) rows, so it holds at most
+    max(_PAIR_BLOCK, p) bytes, and at most p starts make at most 1024 rows.
+    """
+    windows = np.ndarray((p + 1, p), dtype=doubled.dtype, buffer=doubled, strides=(1, 1))
+    windows.flags.writeable = False
+    rows = max(1, _PAIR_BLOCK // p)
+    for start in range(0, starts.size, rows):
+        yield windows[starts[start:start + rows]]
+
+
+def _naive_dense(a_set: ResidueSet, b_set: ResidueSet, p: int) -> int:
+    """The rows of the windows of B's doubled indicator at A, then their columns at B."""
+    b_idx = _index(b_set)
+    rows = _window_rows(_doubled_indicator(b_set, p), p, _index(a_set))
+    return sum(int(np.count_nonzero(block[:, b_idx])) for block in rows)
+
+
+def _naive_sparse(a_set: ResidueSet, b_set: ResidueSet, p: int) -> int:
+    """B's doubled indicator read at the sums of :func:`_pair_sums`."""
+    in_b = _doubled_indicator(b_set, p)
+    return sum(int(np.count_nonzero(in_b[sums])) for sums in _pair_sums(a_set, b_set))
+
+
 def count_naive(a_set: ResidueSet, b_set: ResidueSet) -> int:
     """Definitional enumeration of all |A| * |B| pairs. The reference the fast paths answer to.
 
-    Membership of each sum a + b in B is gathered from a doubled indicator of
-    length 2p (a + b < 2p, so no reduction is needed), one block of
-    :func:`_pair_sums` at a time. The gathers run in numpy, but the work is
-    still one lookup per pair.
+    Membership of each sum a + b in B is read from a doubled indicator of
+    length 2p (a + b < 2p, so no reduction is needed), one lookup per pair.
+    The dense kernel gathers the windows of that indicator at A, a block of
+    rows at a time, then their columns at B: entry (a, b) is the indicator
+    at a + b. The sparse kernel indexes it by the blocks of
+    :func:`_pair_sums`, so a sparse B costs O(|A| * |B|) at any p.
     """
-    in_b = _doubled_indicator(b_set, common_modulus(a_set, b_set))
-    return sum(int(np.count_nonzero(in_b[block])) for block in _pair_sums(a_set, b_set))
+    p = common_modulus(a_set, b_set)
+    if _dense(p, b_set.cardinality, a_set.cardinality * b_set.cardinality):
+        return _naive_dense(a_set, b_set, p)
+    return _naive_sparse(a_set, b_set, p)
 
 
 def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
@@ -147,38 +191,41 @@ def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
     return twice // 2
 
 
-def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
-    """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as an int64[p].
+def _counts_dense(x_set: ResidueSet, y_set: ResidueSet, p: int) -> np.ndarray:
+    """The sum of the windows at p - x of Y's doubled indicator, over x in X.
 
-    The sums are tallied over a table of length 2p, one block of at most
-    max(_PAIR_BLOCK, |B|) pairs at a time, so memory stays bounded however
-    large |A| * |B| is; the two halves of the table are then folded.
+    A block of :func:`_window_rows` has at most 1024 rows, so its column
+    sums fit in uint16, which numpy adds faster than int32.
     """
-    p = common_modulus(a_set, b_set)
+    counts = np.zeros(p, dtype=np.int64)
+    in_y = _doubled_indicator(y_set, p).view(np.uint8)
+    for block in _window_rows(in_y, p, p - _index(x_set)):
+        counts += block.sum(axis=0, dtype=np.uint16)
+    return counts
+
+
+def _counts_sparse(a_set: ResidueSet, b_set: ResidueSet, p: int) -> np.ndarray:
+    """The sums of :func:`_pair_sums` tallied over 2p slots, then folded."""
     doubled = np.zeros(2 * p, dtype=np.int64)
     for block in _pair_sums(a_set, b_set):
         doubled += np.bincount(block.ravel(), minlength=2 * p)
     return doubled[:p] + doubled[p:]  # c and c + p are the same residue
 
 
-def naive_and_representation_counts(
-    a_set: ResidueSet, b_set: ResidueSet
-) -> tuple[int, np.ndarray]:
-    """(:func:`count_naive`, :func:`representation_counts`) from one walk of the pair sums.
+def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
+    """N(c) = #{(a, b) in A x B : a + b = c} for every residue c, as an int64[p].
 
-    Each block of :func:`_pair_sums` goes through both routes in turn: the
-    naive gather against the doubled indicator of B, one membership lookup
-    per pair, and the ``bincount`` tally of the sums. Neither result is
-    derived from the other.
+    With X the smaller of A and B and Y the other, N(c) is the sum over x in
+    X of 1_Y(c - x), and those p values are the window at p - x of Y's
+    doubled indicator. The dense kernel sums those windows, a block of rows
+    at a time; the sparse kernel tallies the blocks of :func:`_pair_sums`.
+    Either way memory stays bounded however large |A| * |B| is.
     """
     p = common_modulus(a_set, b_set)
-    in_b = _doubled_indicator(b_set, p)
-    doubled = np.zeros(2 * p, dtype=np.int64)
-    hits = 0
-    for block in _pair_sums(a_set, b_set):
-        hits += int(np.count_nonzero(in_b[block]))
-        doubled += np.bincount(block.ravel(), minlength=2 * p)
-    return hits, doubled[:p] + doubled[p:]
+    x_set, y_set = sorted((a_set, b_set), key=len)
+    if _dense(p, y_set.cardinality, a_set.cardinality * b_set.cardinality):
+        return _counts_dense(x_set, y_set, p)
+    return _counts_sparse(a_set, b_set, p)
 
 
 @dataclass(frozen=True)

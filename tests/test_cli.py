@@ -654,6 +654,35 @@ def test_writing_to_dev_full_exits_1_with_one_stderr_line(argv, unbuffered):
     assert proc.stderr.decode() == "addtriples: cannot write stdout: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_to_dev_full_exits_1_with_one_stderr_line(unbuffered):
+    # before: argparse dropped the failed write of the help, and the exit was 0
+    with open("/dev/full", "w") as full:
+        proc = _fresh_interpreter(MAIN, "construct", "--help", stdout=full,
+                                  PYTHONUNBUFFERED=unbuffered, COLUMNS="80")
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "addtriples: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_part_way_exits_1(unbuffered):
+    # the output (about 1 MB) is one chunk and outgrows the pipe; the reader takes 10
+    # bytes and closes it. Before, unbuffered, the write's short count was dropped
+    # and the exit was 0
+    argv = ("construct", "--p", "100001", "--s", "50000", "--t", "50000", "--r", "1249987500")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-c", MAIN, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{\n  "achie'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err.decode() == "addtriples: cannot write stdout: Broken pipe\n"
+
+
 def test_construct_peak_memory_stays_near_its_output_size():
     # The witness texts and their join are the output's size or so; listing A
     # and B as ints took the traced peak to 5.3x the output at p = 2^20 + 1,

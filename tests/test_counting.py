@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -270,39 +271,99 @@ def test_convolution_matches_shift_on_dense_and_interval_sets_at_p10001():
     (13, range(13), range(0, 13, 2)),
 ])
 def test_pair_blocks_count_every_pair_once(monkeypatch, p, a_elems, b_elems):
+    # each route's dense and sparse kernel, driven directly, whichever the rule picks
     a, b = make_set(p, a_elems), make_set(p, b_elems)
+    x, y = sorted((a, b), key=len)
     expected_count = brute_count(p, list(a), list(b))
     expected_counts = brute_multiplicities(p, list(a), list(b))
-    for block in sorted({1, 7, max(b.cardinality - 1, 1)}):
+    for block in sorted({1, 7, max(b.cardinality - 1, 1), 2 * p + 1}):  # 2p + 1: two rows a block
         monkeypatch.setattr(counting, "_PAIR_BLOCK", block)
-        assert counting.count_naive(a, b) == expected_count
-        counts = counting.representation_counts(a, b)
-        assert counts.tolist() == expected_counts
-        assert counts.sum() == a.cardinality * b.cardinality
-        naive, shared_counts = counting.naive_and_representation_counts(a, b)
-        assert (naive, shared_counts.tolist()) == (expected_count, expected_counts), block
+        assert counting._naive_dense(a, b, p) == expected_count, block
+        assert counting._naive_sparse(a, b, p) == expected_count, block
+        assert counting.count_naive(a, b) == expected_count, block
+        for counts in (counting._counts_dense(x, y, p), counting._counts_sparse(a, b, p),
+                       counting.representation_counts(a, b)):
+            assert counts.dtype == np.int64
+            assert counts.tolist() == expected_counts, block
 
 
-def test_pair_routes_memory_is_bounded():
-    # 4.2 M pairs, several blocks; one unblocked int64 table of them is 32 MB
-    p = 4099
-    a, b = make_set(p, range(p - 1)), make_set(p, range(1, p))
-    a.elements(), b.elements()  # the member caches are not what is measured
+RULE_P = 257  # dense once the set not walked holds 33 residues and there are 2048 pairs
+
+
+@pytest.mark.parametrize("s,t,naive_kernel,counts_kernel", [
+    (100, 32, "_naive_sparse", "_counts_dense"),   # 8 * 32 < 257 <= 8 * 100
+    (63, 33, "_naive_dense", "_counts_dense"),     # 63 * 33 = 2079 pairs
+    (62, 33, "_naive_sparse", "_counts_sparse"),   # 62 * 33 = 2046 pairs
+    (32, 31, "_naive_sparse", "_counts_sparse"),
+    (RULE_P, RULE_P, "_naive_dense", "_counts_dense"),
+    (0, 200, "_naive_sparse", "_counts_sparse"),
+])
+def test_each_kernel_serves_its_side_of_the_rule(monkeypatch, s, t, naive_kernel, counts_kernel):
+    rng = random.Random(s * 1000 + t)
+    p = RULE_P
+    a, b = make_set(p, rng.sample(range(p), s)), make_set(p, rng.sample(range(p), t))
+    ran = []
+    for name in ("_naive_dense", "_naive_sparse", "_counts_dense", "_counts_sparse"):
+        def spy(*args, name=name, kernel=getattr(counting, name)):
+            ran.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(counting, name, spy)
+    for block in (1, 7, max(t - 1, 1), counting._PAIR_BLOCK):
+        monkeypatch.setattr(counting, "_PAIR_BLOCK", block)
+        ran.clear()
+        assert counting.count_naive(a, b) == brute_count(p, list(a), list(b))
+        assert counting.representation_counts(a, b).tolist() == brute_multiplicities(
+            p, list(a), list(b))
+        assert ran == [naive_kernel, counts_kernel], block
+
+
+def test_a_sparse_pair_at_large_p_gathers_no_rows(monkeypatch):
+    # 200 x 200 pairs at p = 1,000,003: the windows at A would be s * p = 200 MB of rows.
+    # Their blocks would bound the peak too, so the gather itself is refused here.
+    p, rng = 1_000_003, random.Random(11)
+    a, b = make_set(p, rng.sample(range(p), 200)), make_set(p, rng.sample(range(p), 200))
+    a._member_array, b._member_array  # the member caches are not what is measured
+
+    def no_rows(*args):
+        raise AssertionError("a sparse pair gathered window rows")
+
+    monkeypatch.setattr(counting, "_window_rows", no_rows)
     results = {}
-    for route in (counting.count_naive, counting.count_layers, counting.layer_sizes,
-                  counting.naive_and_representation_counts):
+    for route in (counting.count_naive, counting.representation_counts):
         tracemalloc.start()
         try:
             results[route.__name__] = route(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20, (route.__name__, peak)
+        # the sparse kernels hold a 2p indicator or 2p-slot tally (32 MB at most) and 40,000 sums
+        assert peak < 48 * 2**20, (route.__name__, peak)
+    assert results["count_naive"] == brute_count(p, list(a), list(b))
+    counts = results["representation_counts"]
+    expected = brute_multiplicities(p, list(a), list(b))
+    assert counts.sum() == 200 * 200
+    assert {c: int(counts[c]) for c in np.flatnonzero(counts)} == {
+        c: n for c, n in enumerate(expected) if n}
+
+
+def test_pair_routes_memory_is_bounded():
+    # 4.2 M pairs, several blocks; one unblocked int64 table of their sums is 32 MB
+    p = 4099
+    a, b = make_set(p, range(p - 1)), make_set(p, range(1, p))
+    a.elements(), b.elements()  # the member caches are not what is measured
+    results = {}
+    for route in (counting.count_naive, counting.count_layers, counting.layer_sizes,
+                  counting.representation_counts):
+        tracemalloc.start()
+        try:
+            results[route.__name__] = route(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (route.__name__, peak)  # 1 MB blocks of window rows
     assert results["count_naive"] == results["count_layers"] == counting.count_shift(a, b)
     assert sum(results["layer_sizes"]) == (p - 1) ** 2
-    naive, counts = results["naive_and_representation_counts"]
-    assert naive == results["count_naive"]
-    assert counts.tolist() == counting.representation_counts(a, b).tolist()
+    assert results["representation_counts"].sum() == (p - 1) ** 2
 
 
 class TestCountInterval:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,22 +48,38 @@ def test_zero_trials_vacuous_pass():
     assert report.first_violation() is None
 
 
-def test_pair_sums_walked_once_per_trial(monkeypatch):
-    # the naive count, count_layers and the Pollard sweep all read one walk of
-    # the pair sums, made on the very pair the trial drew
-    walked = []
-    original = counting._pair_sums
-
-    def tally(a_set, b_set):
-        walked.append((a_set, b_set))
-        return original(a_set, b_set)
-
-    monkeypatch.setattr(counting, "_pair_sums", tally)
-    moduli, trials, seed = [7, 11, 9], 40, 3
+def test_each_route_counts_the_drawn_pair_once_per_trial(monkeypatch):
+    # the naive count, N(c) (read by count_layers and the Pollard sweep), the shift
+    # and the convolution count each see the very pair the trial drew, once; the
+    # moduli reach both sides of the dense-or-sparse rule of the first two
+    calls, kernels = [], []
+    for name in ("count_naive", "representation_counts", "count_shift", "count_convolution"):
+        def route(a_set, b_set, name=name, original=getattr(counting, name)):
+            calls.append((name, a_set, b_set))
+            return original(a_set, b_set)
+        monkeypatch.setattr(counting, name, route)
+    for name in ("_naive_dense", "_naive_sparse", "_counts_dense", "_counts_sparse"):
+        def kernel(*args, name=name, original=getattr(counting, name)):
+            kernels.append(name)
+            return original(*args)
+        monkeypatch.setattr(counting, name, kernel)
+    moduli, trials, seed = [7, 11, 9, 101], 40, 3
     report = run_verification(moduli, trials, seed)
     assert report.ok
     rng = random.Random(seed)
-    assert walked == [_random_pair(rng, p) for p in moduli for _ in range(trials)]
+    expected = []
+    for p in moduli:
+        for _ in range(trials):
+            a, b = _random_pair(rng, p)
+            expected += [("count_naive", a, b), ("representation_counts", a, b),
+                         ("count_shift", a, b), ("count_convolution", a, b),
+                         ("count_shift", a.complement(), b.complement())]
+    assert calls == expected
+    ran = Counter(kernels)
+    assert ran["_naive_dense"] + ran["_naive_sparse"] == len(moduli) * trials
+    assert ran["_counts_dense"] + ran["_counts_sparse"] == len(moduli) * trials
+    assert all(ran[name] for name in ("_naive_dense", "_naive_sparse", "_counts_dense",
+                                      "_counts_sparse")), ran
 
 
 def test_draw_stream_is_pinned():
