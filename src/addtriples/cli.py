@@ -53,8 +53,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for math failures."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _warn(f"{self.format_usage()}{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
     def _print_message(self, message, file=None):
@@ -629,23 +628,37 @@ def _write(stream, text: str) -> None:
 
 def _write_failed(output: str | None, exc: OSError) -> int:
     """Report a failed write of the output in one line, and return exit code 1."""
-    print(f"addtriples: cannot write {output or 'stdout'}: {exc.strerror or exc}",
-          file=sys.stderr)
+    _warn(f"addtriples: cannot write {output or 'stdout'}: {exc.strerror or exc}\n")
     if not output:
-        _discard_stdout()
+        _discard(sys.stdout)
     return EXIT_USAGE
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at os.devnull, after a write to it failed.
+def _warn(text: str) -> None:
+    """Write ``text`` to stderr and flush it; if that fails, discard stderr.
 
-    A buffered stdout keeps the bytes it could not write, and the interpreter
+    Every stderr line of :func:`main` goes through here, so stderr on a full
+    device or a closed pipe loses the message but keeps the exit code the
+    documented one.
+    """
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _discard(stream) -> None:
+    """Point the descriptor of ``stream`` (stdout or stderr) at os.devnull, after a
+    write to it failed.
+
+    A buffered stream keeps the bytes it could not write, and the interpreter
     flushes it at exit, which would fail again, print "Exception ignored" and
     exit 120. This is the remedy Python's ``signal`` docs give for a closed
     pipe. A stream with no descriptor, such as ``io.StringIO``, is left alone.
     """
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -666,13 +679,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, code = run(args)
     except BudgetExceededError as exc:
-        print(f"addtriples: budget exceeded: {exc}", file=sys.stderr)
+        _warn(f"addtriples: budget exceeded: {exc}\n")
         return EXIT_BUDGET
     except DomainError as exc:
-        print(f"addtriples: {exc}", file=sys.stderr)
+        _warn(f"addtriples: {exc}\n")
         return EXIT_USAGE
     except VerificationError as exc:
-        print(f"addtriples: internal verification failure: {exc}", file=sys.stderr)
+        _warn(f"addtriples: internal verification failure: {exc}\n")
         return EXIT_VERIFICATION
     text = render_json(payload) if args.format == "json" else render_csv(csv_rows(payload))
     try:

@@ -14,14 +14,17 @@ have the same closed forms as the global bounds. That holds for every odd
 p, prime or not, which is what :func:`construct` exploits.
 
 :func:`build_shift_profile` writes M as a value -> count dict, one entry per
-distinct value, for the multiset DP and the tests. :func:`construct` needs
-no profile: with F the floor value and run = p - 1 - 2(t - 1 - F) its
-number of copies, the sum of the n smallest elements of M is
-n*F + floor((max(0, n - run) + 1)^2 / 4), and the element at any ascending
-position is as direct. The selection takes the most copies of each value,
-compared from the largest value down; on consecutive values that is the k
-largest elements, one element w, then the smallest rest, with k found by
-one bisect over those closed forms, so choosing costs O(log s) arithmetic.
+distinct value, for the tests; nothing else needs the profile. With F the
+floor value and run = p - 1 - 2(t - 1 - F) its number of copies, the sum of
+the n smallest elements of M is n*F + floor((max(0, n - run) + 1)^2 / 4),
+and the element at any ascending position is as direct. That one form gives
+the selection range, r1 the sum of the s smallest and r2 = t^2 less the sum
+of the p - s smallest (:func:`extreme_sums`, and the spectrum's
+``multiset-dp`` mode), and :func:`construct` selects by it. The selection
+takes the most copies of each value, compared from the largest value down;
+on consecutive values that is the k largest elements, one element w, then
+the smallest rest, with k found by one bisect over those closed forms, so
+choosing costs O(log s) arithmetic.
 The chosen values are written as at most seven descending segments
 (high, low, count): each run's top and bottom values with their counts,
 the values strictly between with two copies each, and w; the witness
@@ -82,12 +85,12 @@ def _check_interval_args(p: int, t: int) -> tuple[int, int]:
     return p, t
 
 
-def _overlap_floor(p: int, t: int) -> int:
+def _overlap_floor(p, t):
     """The least overlap |(a + B) n B| over a: 0, or 2t - p once 2t > p."""
-    return max(0, 2 * t - p)
+    return piecewise(2 * t > p, 2 * t - p, 0)
 
 
-def _floor_run(p: int, t: int) -> tuple[int, int]:
+def _floor_run(p, t):
     """(F, run): the floor value and its number of copies p - 1 - 2(t - 1 - F) in the profile."""
     floor = _overlap_floor(p, t)
     return floor, p - 1 - 2 * (t - 1 - floor)
@@ -160,35 +163,42 @@ def partial_sum_largest(u: int, n: int) -> int:
     return -(-(n * (4 * u - n)) // 4)
 
 
-def _extreme_sums(p, s, t):
-    # The two-regime case table, on ints or on int64 arrays alike.
-    tt = 2 * t
-    middle = (s + tt - p) ** 2 // 4
-    big = -(-(s * (4 * t - s)) // 4)
-    small_b = tt <= p - 1
-    r1 = piecewise(
-        small_b,
-        piecewise(s <= p - tt + 1, 0, middle),
-        piecewise(s <= tt - p + 1, s * (tt - p), middle),
-    )
-    r2 = piecewise(
-        small_b,
-        piecewise(s <= tt - 1, big, t * t),
-        piecewise(s <= 2 * p - tt - 1, big, s * (tt - p) + (p - t) ** 2),
-    )
-    return r1, r2
+def _smallest_overlaps(n, floor, run):
+    """Sum of the n smallest overlaps of the interval profile with ``run`` copies of its
+    floor value F: n floors, plus the n - run smallest of {1, 1, 2, 2, ..., t-F-1, t-F-1, t-F},
+    on ints or int64 arrays alike."""
+    return n * floor + _smallest_of_pairs(piecewise(n > run, n - run, 0))
+
+
+def _checked_floor_run(p: int, t: int) -> tuple[int, int]:
+    """:func:`_floor_run` of a validated instance, checked by both mass identities:
+    the profile has run + 2(t - F) - 1 = p elements, and they sum to t^2."""
+    floor, run = _floor_run(p, t)
+    if run + 2 * (t - floor) - 1 != p:
+        raise VerificationError(f"profile mass {run + 2 * (t - floor) - 1} != p = {p}")
+    total = _smallest_overlaps(p, floor, run)
+    if total != t * t:
+        raise VerificationError(f"profile weighted mass {total} != t^2 = {t * t}")
+    return floor, run
+
+
+def _extreme_sums(p, s, t, floor, run):
+    # The s smallest overlaps, and t^2 less the p - s smallest, on ints or int64 arrays alike.
+    return _smallest_overlaps(s, floor, run), t * t - _smallest_overlaps(p - s, floor, run)
 
 
 def extreme_sums(p: int, s: int, t: int) -> tuple[int, int]:
     """(r1, r2): the sums of the s smallest and s largest overlap values.
 
-    Evaluated from the two-regime case table rather than by sorting the
-    profile; the profile-sorting route is kept as a test oracle. For every
-    odd p the result coincides with (lower_bound, upper_bound), which is the
-    identity the test suite pins across the whole desk-scale range.
+    Evaluated from the profile's closed form, the one :func:`construct`
+    selects by: r1 is the sum of the s smallest, and r2 is t^2 less the sum
+    of the p - s smallest; the profile-sorting route is kept as a test
+    oracle. For every odd p the result coincides with (lower_bound,
+    upper_bound), the paper's case forms, which is the identity the test
+    suite pins across the whole desk-scale range.
     """
     params = Params(p, s, t)
-    return _extreme_sums(params.p, params.s, params.t)
+    return _extreme_sums(params.p, params.s, params.t, *_checked_floor_run(params.p, params.t))
 
 
 def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +206,7 @@ def extreme_sums_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
     p = check_modulus(p)
     s = np.arange(1, p, dtype=np.int64)[:, None]
     t = np.arange(1, p, dtype=np.int64)[None, :]
-    return _extreme_sums(p, s, t)
+    return _extreme_sums(p, s, t, *_floor_run(p, t))
 
 
 def _select(p: int, t: int, s: int, r: int) -> tuple[list[Segment], tuple[int, int, int | None]]:
@@ -220,14 +230,7 @@ def _select(p: int, t: int, s: int, r: int) -> tuple[list[Segment], tuple[int, i
     :class:`UnattainableTargetError` when r is outside [r1, r2], the sums of
     the s smallest and s largest.
     """
-    floor, run = _floor_run(p, t)
-    if run + 2 * (t - floor) - 1 != p:
-        raise VerificationError(f"profile mass {run + 2 * (t - floor) - 1} != p = {p}")
-
-    def smallest(n: int) -> int:
-        # Sum of the n smallest elements: n floors, plus the n - run smallest of
-        # {1, 1, 2, 2, ..., t-F-1, t-F-1, t-F}.
-        return n * floor + _smallest_of_pairs(max(0, n - run))
+    floor, run = _checked_floor_run(p, t)
 
     def value(i: int) -> int:
         # The element at ascending position i.
@@ -238,13 +241,9 @@ def _select(p: int, t: int, s: int, r: int) -> tuple[list[Segment], tuple[int, i
         first = 0 if v == floor else run + 2 * (v - floor - 1)
         return min(hi, run if v == floor else first + 2) - max(lo, first)
 
-    total = smallest(p)
-    if total != t * t:
-        raise VerificationError(f"profile weighted mass {total} != t^2 = {t * t}")
-
     def split(k: int) -> int:
-        # The k largest elements plus the s - k smallest.
-        return total - smallest(p - k) + smallest(s - k)
+        # The k largest elements (t^2 less the p - k smallest) plus the s - k smallest.
+        return t * t - _smallest_overlaps(p - k, floor, run) + _smallest_overlaps(s - k, floor, run)
 
     r1, r2 = split(0), split(s)
     if not r1 <= r <= r2:

@@ -4,9 +4,9 @@ Three modes with very different costs:
 
 * ``exhaustive``        - every pair |A| = s, |B| = t; the ground truth.
 * ``fixed-interval-B``  - all C(p,s) sets A against B = {0..t-1}.
-* ``multiset-dp``       - no enumeration at all: the same engine run on
-  the interval's overlap profile alone, which by the selection equivalence
-  must reproduce the fixed-interval spectrum.
+* ``multiset-dp``       - no enumeration at all: the interval's selection
+  range in closed form, which by the selection equivalence must reproduce
+  the fixed-interval spectrum.
 
 The engine: r(A, B, B) = sum over a in A of |(a + B) n B|, so the values
 over all A are the exactly-s selection sums of B's overlap multiset. One
@@ -17,18 +17,22 @@ it let a greedy walk pick the lex-first positions for each value. Translating
 B changes no count, so ``exhaustive`` visits only the B that contain 0 and
 builds one table per distinct histogram, at the largest size it wants. The
 histograms depend on (p, t) alone, so the scanner makes one such pass per
-(p, t) for all its sizes s. When a histogram is gapless (its distinct values
-are consecutive integers, max - min + 1 of them), the exchange lemma gives
-its rows without the table: the exactly-c sums are every integer from the
-sum of the c smallest elements to the sum of the c largest, since swapping a
-selected x for an unselected x + 1 adds 1. Every interval profile is
-gapless, its values running from max(0, 2t - p) to t, so ``multiset-dp``
-reads its row off the sorted histogram by the lemma alone, which refuses
-any histogram with a hole.
+(p, t) for all its sizes s.
+
+``multiset-dp`` needs no table. The interval profile is gapless: its values
+run from max(0, 2t - p) to t with no hole. So the exchange lemma makes its
+exactly-s sums every integer from the sum of the s smallest overlaps to the
+sum of the s largest. In a selection that is not the largest, let x be the
+largest selected value below some unselected one and y the least unselected
+value above x; every value strictly between them exists and is fully
+selected, so y = x + 1, and swapping x for y adds exactly 1. The two end
+sums are the closed form ``construct`` selects by (and
+``construction.extreme_sums`` returns), so ``multiset-dp`` builds no
+profile.
 
 Every mode hands its attained values to the report as runs: the bitmask
 engines read them off their bitmask once with ``bit_runs``, from its binary
-digits and without numpy, and ``multiset-dp`` hands over the lemma's one run.
+digits and without numpy, and ``multiset-dp`` hands over its one run.
 The report finds the gaps inside the closed-form interval [f, g] and any
 exceptional values outside it by arithmetic on those runs. It holds each as
 an ``IntRuns``, a sequence of ints kept as its runs, so an interval spectrum
@@ -54,7 +58,7 @@ the exact product is compared otherwise.
 from __future__ import annotations
 
 import time
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, lgamma, log, prod
@@ -68,7 +72,7 @@ from .bounds import (
     schur_upper_bound,
     upper_bound,
 )
-from .construction import build_shift_profile, shift_overlap
+from .construction import _checked_floor_run, _extreme_sums, shift_overlap
 from .residues import (
     DomainError,
     IntRuns,
@@ -348,55 +352,21 @@ def spectrum_fixed_interval(
     )
 
 
-def _attainable_selection_sums(
-    counts: dict[int, int], sizes: Collection[int],
-) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The sums of exactly c elements of a gapless multiset, for each c in ``sizes``.
-
-    ``counts`` maps each value to its (positive) multiplicity, and its
-    distinct values must be consecutive integers, as in every interval
-    profile; any other histogram raises :class:`DomainError` (row 0 of
-    :func:`_suffix_sums` serves those). Returns {c: the runs of the sums
-    attainable with exactly c elements}, as :func:`bit_runs` reads them off
-    a row of the DP: one run, or none when c exceeds the multiset's size.
-    The exchange lemma gives each row as the full range from the sum of the
-    c smallest elements to the sum of the c largest: in a selection that is
-    not the largest, let x be the largest selected value below some
-    unselected one and y the least unselected value above x; every value
-    strictly between them exists and is fully selected, so y = x + 1, and
-    swapping x for y adds exactly 1.
-    """
-    ascending = sorted(counts.items())
-    if ascending[-1][0] - ascending[0][0] + 1 != len(ascending):
-        raise DomainError(f"{len(ascending)} distinct values from {ascending[0][0]} to "
-                          f"{ascending[-1][0]} are not consecutive integers")
-    total = sum(counts.values())
-    return {c: ((_first_sum(ascending, c), _first_sum(reversed(ascending), c) + 1),)
-            if c <= total else () for c in sizes}
-
-
-def _first_sum(items: Iterable[tuple[int, int]], c: int) -> int:
-    """The sum of the first c elements of the multiset that ``items`` lists as (value, copies)."""
-    total = 0
-    for v, m in items:
-        if c <= m:
-            return total + c * v
-        total += m * v
-        c -= m
-    return total
-
-
 def spectrum_multiset_dp(p: int, s: int, t: int) -> SpectrumReport:
     """The fixed-interval spectrum computed without enumerating sets at all.
 
     The interval's overlap values run from max(0, 2t - p) to t with no hole,
-    so the engine serves size s by the exchange lemma, off the sorted
-    histogram, runs no DP, and hands the report the lemma's one run.
+    so by the exchange lemma its size-s sums are every integer from the sum
+    of the s smallest overlaps to the sum of the s largest. Both come from
+    the closed form ``construct`` selects by, with the profile's mass
+    identities checked, and no profile, table or DP is built: the report
+    gets that one run.
     """
     interval = bounds_for(p, s, t)
     started = time.perf_counter()
-    attained = _attainable_selection_sums(build_shift_profile(p, t).counts, (s,))[s]
-    return _make_report(interval, "multiset-dp", attained, None, started)
+    p, s, t = interval.p, interval.s, interval.t
+    r1, r2 = _extreme_sums(p, s, t, *_checked_floor_run(p, t))
+    return _make_report(interval, "multiset-dp", ((r1, r2 + 1),), None, started)
 
 
 def schur_spectrum(

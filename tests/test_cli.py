@@ -545,8 +545,17 @@ def test_block_cache_sees_one_separator_per_form():
      "d0e1136c16a1829498b8c55e707b7b4fec12d948a006ed65eb0fdcb1862369c5"),
     (("verify", "--p", "7,9", "--trials", "25", "--seed", "7", "--format", "csv"),
      "99a8b2e271e088ac46ae257ca46901f0a5bfb33525c7e2298e5f25e19543c7d3"),
+    # 2t > p: the overlap floor max(0, 2t - p) is positive
+    (("spectrum", "--p", "401", "--s", "300", "--t", "350", "--mode", "multiset-dp"),
+     "4b884a42e83b8742b706a972ec95f8dffcf3339d41d687609c367470855dc981"),
+    (("spectrum", "--p", "2001", "--s", "1500", "--t", "1800", "--mode", "multiset-dp"),
+     "d6fd61853ea850734e5144e9c57e1b0a54d03cb1f5bcdcca8eaf0f20cd9e0915"),
+    (("spectrum", "--p", "2001", "--s", "1500", "--t", "1800", "--mode", "multiset-dp",
+      "--format", "csv"),
+     "2e186cda5f686c53828222d6784d917fa5db83edbdb72356f6b4cdbf67753130"),
 ], ids=["construct-json", "construct-csv", "multiset-dp-json", "multiset-dp-csv",
-        "bounds-csv", "count-all-csv", "spectrum-csv", "schur-csv", "scan-csv", "verify-csv"])
+        "bounds-csv", "count-all-csv", "spectrum-csv", "schur-csv", "scan-csv", "verify-csv",
+        "multiset-dp-floor-json", "multiset-dp-floor-p2001-json", "multiset-dp-floor-p2001-csv"])
 def test_default_output_digest(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -665,6 +674,32 @@ def test_help_to_dev_full_exits_1_with_one_stderr_line(unbuffered):
     assert proc.stderr.decode() == "addtriples: cannot write stdout: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", [
+    (("construct", "--p", "9", "--s", "7"), 1),
+    (("construct", "--p", "9", "--s", "7", "--t", "6", "--r", "24"), 1),
+    (("spectrum", "--p", "21", "--s", "10", "--t", "10", "--budget", "1"), 3),
+    (("construct", "--p", "9", "--s", "7", "--t", "6", "--r", "25", "--jobs", "4"), 1),
+    (("--jobs", "4"), 1),
+], ids=["usage", "domain", "budget", "unknown-option", "unknown-command"])
+def test_an_error_to_a_full_stderr_keeps_its_exit_code(argv, code, unbuffered):
+    # before: buffered, "Exception ignored" from the interpreter's flush of stderr at
+    # exit, and exit 120; unbuffered, exit 1, the budget error's 3 included
+    with open("/dev/full", "w") as full:
+        proc = _fresh_interpreter(MAIN, *argv, stderr=full, PYTHONUNBUFFERED=unbuffered)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_a_full_stdout_and_stderr_exits_1(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _fresh_interpreter(MAIN, "bounds", "--p", "7", "--s", "3", "--t", "3",
+                                  stdout=full, stderr=full, PYTHONUNBUFFERED=unbuffered)
+    assert proc.returncode == 1
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_a_pipe_closed_part_way_exits_1(unbuffered):
     # the output (about 1 MB) is one chunk and outgrows the pipe; the reader takes 10
@@ -701,13 +736,13 @@ def test_construct_peak_memory_stays_near_its_output_size():
     assert peak < 2.5 * len(sink.getvalue()), (peak, len(sink.getvalue()))
 
 
-def _fresh_interpreter(code, *args, stdout=subprocess.PIPE, **env):
+def _fresh_interpreter(code, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
     """Run ``code`` in a new interpreter that imports this addtriples package, with
     ``env`` added to its environment."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path, **env},
+                          stderr=stderr, env={**os.environ, "PYTHONPATH": path, **env},
                           timeout=120)
 
 
@@ -723,10 +758,11 @@ NO_NUMPY_MAIN = ("import sys; sys.modules['numpy'] = None; "
     ("bounds", "--p", "101", "--s", "30", "--t", "40"),
     ("bounds", "--p", "9", "--s", "7", "--t", "6", "--format", "csv"),
     ("spectrum", "--p", "401", "--s", "200", "--t", "200", "--mode", "multiset-dp"),
+    ("spectrum", "--p", "2001", "--s", "1500", "--t", "1800", "--mode", "multiset-dp"),
     ("spectrum", "--p", "9", "--s", "7", "--t", "6", "--mode", "multiset-dp", "--format", "csv"),
     ("spectrum", "--p", "9", "--s", "4", "--t", "3", "--mode", "fixed-interval-B", "--witnesses"),
 ], ids=["construct-json", "construct-csv", "construct-composite", "bounds-json", "bounds-csv",
-        "multiset-dp-json", "multiset-dp-csv", "fixed-interval-json"])
+        "multiset-dp-json", "multiset-dp-floor-json", "multiset-dp-csv", "fixed-interval-json"])
 def test_construct_and_bounds_need_no_numpy(capsys, argv):
     # numpy made unimportable: any import of it would end in a traceback and exit 1.
     # The multiset-dp and fixed-interval-B spectra need none either: their reports

@@ -7,7 +7,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
-from addtriples import bounds, counting
+from addtriples import bounds, construction, counting
 from addtriples.construction import (
     ShiftProfile,
     _select,
@@ -22,6 +22,7 @@ from addtriples.construction import (
     shift_overlap,
 )
 from addtriples.residues import DomainError, VerificationError, interval_set, make_set
+from addtriples.spectrum import spectrum_multiset_dp
 
 from oracles import (
     ascending_profile,
@@ -72,6 +73,16 @@ class TestShiftProfile:
                 profile = build_shift_profile(p, t)
                 assert profile.total() == p
                 assert profile.weighted_total() == t * t
+
+    @pytest.mark.parametrize("off, message", [((0, 2), "profile mass"), ((1, 2), "weighted mass")])
+    def test_construct_and_multiset_dp_check_both_mass_identities(self, monkeypatch, off, message):
+        # (F, run) moved by ``off`` breaks one identity; both closed-form routes refuse it
+        real = construction._floor_run
+        monkeypatch.setattr(construction, "_floor_run",
+                            lambda p, t: (real(p, t)[0] + off[0], real(p, t)[1] + off[1]))
+        for route in (lambda: construct(11, 4, 5, 10), lambda: spectrum_multiset_dp(11, 4, 5)):
+            with pytest.raises(VerificationError, match=message):
+                route()
 
     def test_figure_shape_everywhere(self):
         # one copy of t, two of each intermediate value, a run at the floor

@@ -8,13 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from addtriples import counting, residues, spectrum
+from addtriples import construction, counting, residues, spectrum
 from addtriples.bounds import BoundsResult, lower_bound, upper_bound
 from addtriples.construction import build_shift_profile, shift_overlap
 from addtriples.residues import DomainError, VerificationError, bit_positions, bit_runs, make_set
 from addtriples.spectrum import (
     BudgetExceededError,
-    _attainable_selection_sums,
     _between,
     _check_budget,
     _distinct_profiles,
@@ -44,7 +43,7 @@ def _dp_rows(counts, sizes):
 
 
 def _dp_runs(counts, sizes):
-    """{c: the runs of row c of the selection-sum DP}, as _attainable_selection_sums gives them."""
+    """{c: the runs of row c of the selection-sum DP}, as a report's ``attained.runs`` holds them."""
     return {c: bit_runs(row) for c, row in _dp_rows(counts, sizes).items()}
 
 
@@ -164,9 +163,9 @@ class TestSelectionSums:
 
     @pytest.mark.parametrize("p", [7, 9, 15, 21, 31])
     def test_interval_profiles_match_the_oracle(self, p):
-        # Interval profiles are gapless, so _attainable_selection_sums serves them by
-        # the lemma alone; here, as for every histogram in this class, the DP is
-        # called directly, and TestGaplessFastPath checks the lemma against it
+        # Interval profiles are gapless, so spectrum_multiset_dp serves them by the
+        # lemma's closed form alone; here, as for every histogram in this class, the
+        # DP is called directly, and TestGaplessFastPath checks the form against it
         for t in range(1, p):
             counts = build_shift_profile(p, t).counts
             for s in range(1, p):
@@ -202,67 +201,28 @@ class TestSelectionSums:
 
 
 class TestGaplessFastPath:
-    """The exchange-lemma rows against the DP, and its refusal of a histogram with a hole."""
-
-    @staticmethod
-    def _spy_on_the_core(monkeypatch):
-        calls = []
-        def spy(values, size):
-            calls.append(Counter(values))
-            return _suffix_sums(values, size)
-
-        monkeypatch.setattr(spectrum, "_suffix_sums", spy)
-        return calls
+    """multiset-dp's closed-form range against the DP, and that it builds no profile and no table."""
 
     def test_interval_profiles_equal_the_dp_core(self):
         for p in range(3, 100, 2):
             for t in range(1, p):
-                counts = build_shift_profile(p, t).counts
-                rows = _attainable_selection_sums(counts, range(1, p))
-                assert rows == _dp_runs(counts, range(1, p)), (p, t)
-
-    def test_random_gapless_histograms_equal_the_dp_core(self):
-        # sizes run past the multiset's size, where both give the row 0
-        rng = random.Random("selection-sums:gapless")
-        for _ in range(3000):
-            low = rng.randint(0, 30)
-            counts = {low + i: rng.randint(1, 6) for i in range(rng.randint(1, 8))}
-            total = sum(counts.values())
-            sizes = sorted({*rng.sample(range(1, total + 3), min(total + 2, 4)), total, total + 1})
-            rows = _attainable_selection_sums(counts, sizes)
-            assert rows == _dp_runs(counts, sizes), (counts, sizes)
-            whole = sum(v * m for v, m in counts.items())
-            assert rows[total] == ((whole, whole + 1),)
-            assert rows[total + 1] == ()
+                rows = _dp_runs(build_shift_profile(p, t).counts, range(1, p))
+                for s in range(1, p):
+                    assert spectrum_multiset_dp(p, s, t).attained.runs == rows[s], (p, s, t)
 
     def test_gapless_histograms_skip_the_dp_core(self, monkeypatch):
-        calls = self._spy_on_the_core(monkeypatch)
-        assert _attainable_selection_sums({3: 1, 4: 5, 5: 2}, (1, 4, 8, 9)) == {
-            1: ((3, 6),), 4: ((15, 19),), 8: ((33, 34),), 9: ()}
-        for p, s, t in [(9, 7, 6), (101, 30, 80), (2001, 1000, 1000)]:
+        # the range comes from its closed form: no profile is built and no DP table
+        calls = []
+        def spy(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        monkeypatch.setattr(spectrum, "_suffix_sums", spy("_suffix_sums", spectrum._suffix_sums))
+        profile = spy("build_shift_profile", construction.build_shift_profile)
+        monkeypatch.setattr(construction, "build_shift_profile", profile)
+        monkeypatch.setattr(spectrum, "build_shift_profile", profile, raising=False)  # if imported
+        for p, s, t in [(9, 7, 6), (101, 30, 80), (401, 300, 350), (2001, 1000, 1000)]:
             assert spectrum_multiset_dp(p, s, t).is_exact_interval()
         assert calls == []
-
-    def test_a_histogram_with_a_hole_is_refused(self, monkeypatch):
-        # the lemma needs consecutive values; the DP serves a hole, and the
-        # refusal comes before any DP work
-        calls = self._spy_on_the_core(monkeypatch)
-        counts = {0: 3, 2: 2}
-        with pytest.raises(DomainError):
-            _attainable_selection_sums(counts, (1, 2, 3))
-        assert calls == []
-        assert _dp_rows(counts, (1, 2, 3)) == {1: 0b101, 2: 0b10101, 3: 0b10101}
-        rng = random.Random("selection-sums:hole")
-        while True:
-            b = rng.sample(range(21), rng.randint(2, 19))
-            counts = Counter(brute_count(21, [a], b) for a in range(21))
-            if max(counts) - min(counts) + 1 > len(counts):
-                break
-        sizes = (1, 10, 20)
-        with pytest.raises(DomainError):
-            _attainable_selection_sums(counts, sizes)
-        assert calls == []
-        TestSelectionSums._assert_rows_match_the_oracle(counts, sizes)
 
 
 class TestFixedInterval:
