@@ -163,7 +163,7 @@ def pollard_sides(p: int, s: int, t: int, sizes) -> tuple[np.ndarray, np.ndarray
     lhs = np.zeros(top, dtype=np.int64)
     lhs[: len(sizes)] = sizes
     j = np.arange(1, top + 1, dtype=np.int64)
-    return np.cumsum(lhs), j * np.minimum(p, s + t - j)
+    return lhs.cumsum(), j * np.minimum(p, s + t - j)
 
 
 def pollard_check_sweep(a_set: ResidueSet, b_set: ResidueSet) -> list[InequalityCheck]:

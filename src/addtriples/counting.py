@@ -122,13 +122,19 @@ def _naive_dense(a_set: ResidueSet, b_set: ResidueSet, p: int) -> int:
     """The rows of the windows of B's doubled indicator at A, then their columns at B."""
     b_idx = _index(b_set)
     rows = _window_rows(_doubled_indicator(b_set, p), p, _index(a_set))
-    return sum(int(np.count_nonzero(block[:, b_idx])) for block in rows)
+    total = 0
+    for block in rows:
+        total += int(np.count_nonzero(block[:, b_idx]))
+    return total
 
 
 def _naive_sparse(a_set: ResidueSet, b_set: ResidueSet, p: int) -> int:
     """B's doubled indicator read at the sums of :func:`_pair_sums`."""
     in_b = _doubled_indicator(b_set, p)
-    return sum(int(np.count_nonzero(in_b[sums])) for sums in _pair_sums(a_set, b_set))
+    total = 0
+    for sums in _pair_sums(a_set, b_set):
+        total += int(np.count_nonzero(in_b[sums]))
+    return total
 
 
 def count_naive(a_set: ResidueSet, b_set: ResidueSet) -> int:
@@ -157,7 +163,7 @@ def count_shift(a_set: ResidueSet, b_set: ResidueSet) -> int:
     """
     p = common_modulus(a_set, b_set)
     doubled = b_set.bits | b_set.bits << p
-    walk, other = sorted((a_set, b_set), key=len)
+    walk, other = (a_set, b_set) if a_set.cardinality <= b_set.cardinality else (b_set, a_set)
     yy = other.bits
     total = 0
     for x in walk.elements():
@@ -222,7 +228,7 @@ def representation_counts(a_set: ResidueSet, b_set: ResidueSet) -> np.ndarray:
     Either way memory stays bounded however large |A| * |B| is.
     """
     p = common_modulus(a_set, b_set)
-    x_set, y_set = sorted((a_set, b_set), key=len)
+    x_set, y_set = (a_set, b_set) if a_set.cardinality <= b_set.cardinality else (b_set, a_set)
     if _dense(p, y_set.cardinality, a_set.cardinality * b_set.cardinality):
         return _counts_dense(x_set, y_set, p)
     return _counts_sparse(a_set, b_set, p)
@@ -262,7 +268,7 @@ def sizes_at_least(multiplicity: np.ndarray) -> np.ndarray:
     On the representation counts N of (A, B) these are the layer sizes
     |S_1|, |S_2|, ...; on N restricted to B they are the |S_i n B|.
     """
-    return np.cumsum(np.bincount(multiplicity)[::-1])[::-1][1:]
+    return np.bincount(multiplicity)[::-1].cumsum()[::-1][1:]
 
 
 def layer_sizes(a_set: ResidueSet, b_set: ResidueSet) -> list[int]:

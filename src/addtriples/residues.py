@@ -119,7 +119,7 @@ def primes_up_to(n: int) -> list[int]:
 def _position_array(bits: int) -> np.ndarray:
     """The positions of the set bits of a nonnegative int, ascending, as a new int64 array."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int64, copy=False)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0].astype(np.int64, copy=False)
 
 
 def bit_runs(bits: int) -> tuple[tuple[int, int], ...]:
@@ -237,6 +237,11 @@ class ResidueSet:
     The members are derived from ``bits`` on first use, once, as a read-only
     int64 array; the member tuple is read off that array. Neither is a field,
     so equality, hashing and the repr see only the modulus and the bits.
+
+    The public constructor, :meth:`from_elements` and :meth:`_from_runs`
+    validate the modulus and the members. :meth:`complement`, :meth:`shift`,
+    :meth:`sumset` and :meth:`_from_indicator` trust a valid parent of the
+    same modulus, and build through :meth:`_derived` without checks.
     """
 
     modulus: int
@@ -262,16 +267,27 @@ class ResidueSet:
         return cls(p, pack_indicator(flags))
 
     @classmethod
+    def _derived(cls, modulus: int, bits: int) -> "ResidueSet":
+        """The set ``bits`` of a valid ``modulus``, built from a valid set: its fields go straight
+        into the instance dict, with no checks and no frozen ``__setattr__``."""
+        made = object.__new__(cls)
+        fields = made.__dict__
+        fields["modulus"] = modulus
+        fields["bits"] = bits
+        fields["cardinality"] = bits.bit_count()
+        return made
+
+    @classmethod
     def _from_indicator(cls, modulus: int, flags: np.ndarray) -> "ResidueSet":
         """The set whose members are the true entries of the bool array ``flags``.
 
         The bitmask is packed from ``flags`` and the member array is read off
         it too, so the set is never unpacked. Private because it trusts
-        ``flags`` to be a bool array of length at most ``modulus``.
+        ``modulus`` and ``flags``, a bool array of length at most ``modulus``.
         """
-        members = np.flatnonzero(flags).astype(np.int64, copy=False)
+        members = flags.nonzero()[0].astype(np.int64, copy=False)
         members.flags.writeable = False
-        made = cls(modulus, pack_indicator(flags))
+        made = cls._derived(modulus, pack_indicator(flags))
         made.__dict__["_member_array"] = members  # the slot the cached property fills
         return made
 
@@ -337,14 +353,14 @@ class ResidueSet:
 
     def complement(self) -> "ResidueSet":
         """Z_p minus this set."""
-        return ResidueSet(self.modulus, self.bits ^ ((1 << self.modulus) - 1))
+        return ResidueSet._derived(self.modulus, self.bits ^ ((1 << self.modulus) - 1))
 
     def shift(self, a: int) -> "ResidueSet":
         """The translate a + X; cardinality is preserved."""
         p = self.modulus
         a = operator.index(a) % p
         full = (1 << p) - 1
-        return ResidueSet(p, ((self.bits << a) | (self.bits >> (p - a))) & full)
+        return ResidueSet._derived(p, ((self.bits << a) | (self.bits >> (p - a))) & full)
 
     def intersection_size(self, other: "ResidueSet") -> int:
         common_modulus(self, other)
@@ -354,14 +370,14 @@ class ResidueSet:
         """{x + y mod p : x in self, y in other}; empty if either side is empty."""
         p = common_modulus(self, other)
         full = (1 << p) - 1
-        small, big = sorted((self, other), key=len)
+        small, big = (self, other) if self.cardinality <= other.cardinality else (other, self)
         acc = 0
         bb = big.bits
         for a in small:
             acc |= ((bb << a) | (bb >> (p - a))) & full
             if acc == full:
                 break
-        return ResidueSet(p, acc)
+        return ResidueSet._derived(p, acc)
 
     __add__ = sumset
 

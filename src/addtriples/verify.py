@@ -115,7 +115,8 @@ def _random_set(rng: random.Random, p: int, size: int) -> ResidueSet:
                     j = getrandbits(b)
                 pool[j] = pool[m - 1]
             top = low
-        flags = np.ones(p, dtype=bool)
+        flags = np.empty(p, dtype=bool)
+        flags.fill(True)  # the method np.ones wraps
         flags[pool[:rest]] = False
     else:
         b = p.bit_length()
@@ -183,7 +184,7 @@ def _check_modulus(p: int, trials: int, rng: random.Random) -> ModulusSummary:
 
         tally["layer-inequalities"] += 1
         lhs, rhs = bounds.pollard_sides(p, s, t, counting.sizes_at_least(counts))
-        failing = np.flatnonzero(lhs < rhs)
+        failing = (lhs < rhs).nonzero()[0]
         if failing.size:
             j = int(failing[0])
             fail(trial, "layer-inequalities", f"j={j + 1}: {lhs[j]} < {rhs[j]}", a, b)

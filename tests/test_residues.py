@@ -107,6 +107,35 @@ def test_elements_round_trip(case):
     assert layers(s, make_set(p, [0])).layers == ((s,) if bits else ())
 
 
+def assert_same_as_validated(made, p):
+    """``made`` is the set ``ResidueSet(p, made.bits)`` builds through ``__post_init__``."""
+    validated = ResidueSet(p, made.bits)
+    assert type(made) is ResidueSet and type(made.modulus) is int and type(made.bits) is int
+    assert made == validated and hash(made) == hash(validated) and repr(made) == repr(validated)
+    assert made.modulus == p and made.cardinality == validated.cardinality
+    assert made.elements() == validated.elements()
+    members = made._member_array
+    assert members.dtype == np.int64 and not members.flags.writeable
+    assert members.tolist() == residues._position_array(made.bits).tolist()
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=128).map(lambda k: 2 * k + 1), st.just(32749))
+       .flatmap(lambda p: st.tuples(st.just(p), st.integers(min_value=0, max_value=(1 << p) - 1),
+                                    st.integers(min_value=0, max_value=(1 << p) - 1),
+                                    st.integers(min_value=-2 * p, max_value=2 * p), st.booleans())))
+def test_derived_sets_equal_validated_ones(case):
+    # complement, shift, sumset and _from_indicator skip __post_init__'s checks
+    p, bits, other, a, short = case
+    x = ResidueSet(p, bits)
+    assert_same_as_validated(x.complement(), p)
+    assert_same_as_validated(x.shift(a), p)
+    assert_same_as_validated(x.sumset(ResidueSet(p, other)), p)
+    flags = np.array([bits >> r & 1 for r in range(bits.bit_length() if short else p)], dtype=bool)
+    made = ResidueSet._from_indicator(p, flags)
+    assert made.bits == bits
+    assert_same_as_validated(made, p)
+
+
 class TestComplement:
     def test_examples(self):
         assert make_set(5, [0, 1]).complement().elements() == (2, 3, 4)

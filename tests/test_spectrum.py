@@ -42,11 +42,6 @@ def _dp_rows(counts, sizes):
     return {c: row[c] for c in sizes}
 
 
-def _dp_runs(counts, sizes):
-    """{c: the runs of row c of the selection-sum DP}, as a report's ``attained.runs`` holds them."""
-    return {c: bit_runs(row) for c, row in _dp_rows(counts, sizes).items()}
-
-
 class TestExhaustive:
     def test_composite_exception_instance(self):
         report = spectrum_exhaustive(9, 7, 6, want_witnesses=True)
@@ -203,12 +198,19 @@ class TestSelectionSums:
 class TestGaplessFastPath:
     """multiset-dp's closed-form range against the DP, and that it builds no profile and no table."""
 
-    def test_interval_profiles_equal_the_dp_core(self):
+    def test_interval_rows_equal_bounds_and_multiset_dp_for_all_odd_p_to_99(self):
+        # one DP row per (p, t), for every size: it equals [f, g] for every (s, t) (the
+        # constructive theorem through a non-constructive route), and multiset-dp's
+        # closed form, which builds no profile, equals its runs
         for p in range(3, 100, 2):
             for t in range(1, p):
-                rows = _dp_runs(build_shift_profile(p, t).counts, range(1, p))
+                overlaps = [shift_overlap(p, t, a) for a in range(p)]
+                assert build_shift_profile(p, t).counts == Counter(overlaps), (p, t)
+                rows = _suffix_sums(overlaps, p - 1)[0]
                 for s in range(1, p):
-                    assert spectrum_multiset_dp(p, s, t).attained.runs == rows[s], (p, s, t)
+                    exact = _between(lower_bound(p, s, t), upper_bound(p, s, t))
+                    assert rows[s] == exact, (p, s, t, bit_positions(rows[s] ^ exact))
+                    assert spectrum_multiset_dp(p, s, t).attained.runs == bit_runs(rows[s]), (p, s, t)
 
     def test_gapless_histograms_skip_the_dp_core(self, monkeypatch):
         # the range comes from its closed form: no profile is built and no DP table
@@ -273,18 +275,6 @@ class TestMultisetDP:
                 sums = selection_sums([brute_count(p, [a], range(t)) for a in range(p)], p - 1)
                 for s in range(1, p):
                     assert spectrum_multiset_dp(p, s, t).attained == tuple(sorted(sums[s])), (p, s, t)
-
-    def test_interval_exactly_for_all_odd_p_to_99(self):
-        # the DP is cheap enough to sweep every (s, t) for every odd p <= 99;
-        # this is the constructive theorem checked through a non-constructive route.
-        # spectrum_multiset_dp takes the exchange-lemma path, so the DP is
-        # called directly, once per (p, t) for every size
-        for p in range(3, 100, 2):
-            for t in range(1, p):
-                rows = _suffix_sums([shift_overlap(p, t, a) for a in range(p)], p - 1)[0]
-                for s in range(1, p):
-                    exact = _between(lower_bound(p, s, t), upper_bound(p, s, t))
-                    assert rows[s] == exact, (p, s, t, bit_positions(rows[s] ^ exact))
 
 
 class TestSchur:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from addtriples import cli, counting, verify
-from addtriples.residues import DomainError, _position_array
+from addtriples.residues import DomainError, ResidueSet, _position_array
 from addtriples.verify import PRIME_ONLY_CHECKS, _random_pair, _random_set, run_verification
 
 from oracles import brute_count, brute_multiplicities, sample_indicator
@@ -113,6 +113,26 @@ def test_random_set_reads_the_words_sample_reads(p):
             members = made.__dict__["_member_array"]
             assert members.tolist() == _position_array(made.bits).tolist(), (seed, size)
             assert members.dtype == np.int64 and not members.flags.writeable
+
+
+@pytest.mark.parametrize("p", [7, 499])
+def test_a_trial_validates_no_derived_set_and_calls_no_flatnonzero(monkeypatch, p):
+    # every set a trial builds comes from its draw or from a valid set, so none is re-validated
+    built, flat = [], []
+    post_init = ResidueSet.__post_init__
+    monkeypatch.setattr(ResidueSet, "__post_init__", lambda self: built.append(self) or post_init(self))
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda *args: flat.append(args) or flatnonzero(*args))
+    ResidueSet(p, 1)  # the spies see what they should
+    np.flatnonzero([1])
+    assert len(built) == 1 and len(flat) == 1
+    built.clear()
+    flat.clear()
+    summary = verify._check_modulus(p, 1, random.Random(p))
+    assert summary.checks == dict.fromkeys(
+        ["four-way-agreement", "complement-identity", *PRIME_ONLY_CHECKS], 1)
+    assert not summary.violations
+    assert built == [] and flat == []
 
 
 def test_moduli_above_the_cap_are_refused_before_any_draw(monkeypatch):
