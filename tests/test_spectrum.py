@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations
 from math import comb, prod
 from pathlib import Path
@@ -40,6 +41,13 @@ def _dp_rows(counts, sizes):
     over the elements of ``counts``, whatever their histogram, with no lemma in between."""
     row = _suffix_sums([v for v, m in counts.items() for _ in range(m)], max(sizes))[0]
     return {c: row[c] for c in sizes}
+
+
+@cache
+def _interval_row(p, t):
+    """Row 0 of the selection-sum DP over the p shift overlaps of [0, t), every size to p - 1.
+    Cached, so the two sweeps over odd p < 100 build each (p, t) row once between them."""
+    return _suffix_sums([shift_overlap(p, t, a) for a in range(p)], p - 1)[0]
 
 
 class TestExhaustive:
@@ -198,18 +206,15 @@ class TestSelectionSums:
 class TestGaplessFastPath:
     """multiset-dp's closed-form range against the DP, and that it builds no profile and no table."""
 
-    def test_interval_rows_equal_bounds_and_multiset_dp_for_all_odd_p_to_99(self):
-        # one DP row per (p, t), for every size: it equals [f, g] for every (s, t) (the
-        # constructive theorem through a non-constructive route), and multiset-dp's
-        # closed form, which builds no profile, equals its runs
+    def test_interval_profiles_equal_the_dp_core(self):
+        # multiset-dp's closed form, which builds no profile, equals the DP's runs; the
+        # row is built from the overlaps, whose histogram is the shift profile
         for p in range(3, 100, 2):
             for t in range(1, p):
-                overlaps = [shift_overlap(p, t, a) for a in range(p)]
-                assert build_shift_profile(p, t).counts == Counter(overlaps), (p, t)
-                rows = _suffix_sums(overlaps, p - 1)[0]
+                overlaps = Counter(shift_overlap(p, t, a) for a in range(p))
+                assert build_shift_profile(p, t).counts == overlaps, (p, t)
+                rows = _interval_row(p, t)
                 for s in range(1, p):
-                    exact = _between(lower_bound(p, s, t), upper_bound(p, s, t))
-                    assert rows[s] == exact, (p, s, t, bit_positions(rows[s] ^ exact))
                     assert spectrum_multiset_dp(p, s, t).attained.runs == bit_runs(rows[s]), (p, s, t)
 
     def test_gapless_histograms_skip_the_dp_core(self, monkeypatch):
@@ -275,6 +280,18 @@ class TestMultisetDP:
                 sums = selection_sums([brute_count(p, [a], range(t)) for a in range(p)], p - 1)
                 for s in range(1, p):
                     assert spectrum_multiset_dp(p, s, t).attained == tuple(sorted(sums[s])), (p, s, t)
+
+    def test_interval_exactly_for_all_odd_p_to_99(self):
+        # the DP is cheap enough to sweep every (s, t) for every odd p <= 99;
+        # this is the constructive theorem checked through a non-constructive route.
+        # spectrum_multiset_dp takes the exchange-lemma path, so the DP is
+        # called directly, once per (p, t) for every size (shared with the sweep above)
+        for p in range(3, 100, 2):
+            for t in range(1, p):
+                rows = _interval_row(p, t)
+                for s in range(1, p):
+                    exact = _between(lower_bound(p, s, t), upper_bound(p, s, t))
+                    assert rows[s] == exact, (p, s, t, bit_positions(rows[s] ^ exact))
 
 
 class TestSchur:
