@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):
         # argparse drops a failed write; help written to stdout raises, so main reports it
         if message and file is sys.stdout:
-            _write(file, message)
+            _write(file, [message])
         else:
             super()._print_message(message, file)
 
@@ -405,29 +405,32 @@ class ValueCounts:
 def render_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, with every
     :class:`IntRuns` in ``payload`` written as the list of its ints and every
-    :class:`ValueCounts` as the list of its [value, count] rows.
+    :class:`ValueCounts` as the list of its [value, count] rows: the one join
+    of the pieces :func:`_render` appends to a list, and ``"\\n"``. :func:`main`
+    writes the same pieces unjoined.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
-    is set. Here only the containers are walked in Python: strings go through
-    json's own string encoder, ints through ``str``, other scalars through
-    ``json.dumps``. An ``IntRuns`` (the runs a payload holds by construction:
-    ``construct``'s witnesses, a spectrum's values) is written run by run in
-    blocks of a thousand ints by :func:`_write_runs`, with no int object per
-    item. A :class:`ValueCounts` (``construct``'s selection) is written as
-    the list of its [value, count] rows segment by segment: a one-value
-    segment by one ``%`` template, a longer one by the block writer, going
-    down, with the rows' text between its values as the separator. A list
-    of plain ints is written by one ``%`` format: a template with one
-    ``%d`` per item and the indented separators between them, applied to
-    the tuple of the items. A list of lists of n >= 1 plain ints each (the
-    ``skipped`` triples of ``scan``) joins one row template per row and
-    applies ``%`` once to all the ints;
-    rows of mixed lengths are walked item by item. ``'%d' % x`` is ``str(x)``
-    for an exact int, and raises the same ``ValueError`` past the int -> str
-    digit limit, as the block writer does. Dict keys must be strings, as in every
-    payload the CLI builds.
+    is set. Here only the containers are walked in Python, each appending its
+    brackets, separators and items to the one list, with no join of its own:
+    strings go through json's own string encoder, ints through ``str``, other
+    scalars through ``json.dumps``. An ``IntRuns`` (the runs a payload holds
+    by construction: ``construct``'s witnesses, a spectrum's values) is
+    written run by run in blocks of a thousand ints by :func:`_write_runs`,
+    with no int object per item. A :class:`ValueCounts` (``construct``'s
+    selection) is written as the list of its [value, count] rows segment by
+    segment: a one-value segment as one row, a longer one by the block
+    writer, going down, with the rows' text between its values as the
+    separator. A list of plain ints is one piece, by one ``%`` format: a
+    template with one ``%d`` per item and the indented separators between
+    them, applied to the tuple of the items. A list of lists of n >= 1 plain
+    ints each (the ``skipped`` triples of ``scan``) joins one row template
+    per row and applies ``%`` once to all the ints; rows of mixed lengths
+    are walked item by item. ``'%d' % x`` is ``str(x)`` for an exact int, and
+    raises the same ``ValueError`` past the int -> str digit limit, as the
+    block writer does. Dict keys must be strings, as in every payload the
+    CLI builds.
     """
-    return _render(payload, "\n") + "\n"
+    return "".join(_render(payload, "\n", []) + ["\n"])
 
 
 _quote = json.encoder.encode_basestring_ascii  # the string writer json.dumps uses
@@ -438,69 +441,69 @@ def _int_template(n: int, inner: str, pad: str) -> str:
     return "[" + inner + "%d" + ("," + inner + "%d") * (n - 1) + pad + "]"
 
 
-def _render(value, pad: str) -> str:
-    # ``pad`` is a newline plus the indent of the line that holds ``value``;
-    # exact types, so bools (ints too) and other subclasses go to json.dumps
-    if type(value) is int:
-        return str(value)
-    if type(value) is str:
-        return _quote(value)
+def _render(value, pad: str, out: list[str]) -> list[str]:
+    # Appends the JSON text of ``value`` to ``out`` and returns ``out``. ``pad`` is a
+    # newline plus the indent of the line that holds ``value``; exact types, so bools
+    # (ints too) and other subclasses go to json.dumps. A container writes ``head``
+    # before each item: its opening bracket and ``inner`` first, then "," + inner.
     inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = (_quote(key) + ": " + _render(item, inner) for key, item in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if type(value) is int:
+        out.append(str(value))
+    elif type(value) is str:
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(head + _quote(key) + ": ")
+            _render(item, inner, out)
+            head = "," + inner
+        out.append(pad + "}" if value else "{}")
+    elif not value and isinstance(value, (list, tuple, IntRuns)):
+        out.append("[]")
+    elif isinstance(value, (list, tuple)):
         if operator.countOf(map(type, value), int) == len(value):
             # '%d' of an exact int is its str; pads hold no '%', keys never reach a template
-            return _int_template(len(value), inner, pad) % tuple(value)
-        n = len(value[0]) if type(value[0]) is list else 0
-        if (n and operator.countOf(map(type, value), list) == len(value)
+            out.append(_int_template(len(value), inner, pad) % tuple(value))
+        elif ((n := len(value[0]) if type(value[0]) is list else 0)
+                and operator.countOf(map(type, value), list) == len(value)
                 and operator.countOf(map(len, value), n) == len(value)
                 and operator.countOf(map(type, chain.from_iterable(value)), int) == n * len(value)):
             # rows of n >= 1 exact ints each, as every int-row payload has: one row template
             body = ("," + inner).join([_int_template(n, inner + "  ", inner)] * len(value))
-            return ("[" + inner + body + pad + "]") % tuple(chain.from_iterable(value))
-        parts = (_render(item, inner) for item in value)
-        return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    if type(value) is IntRuns:
-        if not value:
-            return "[]"
-        out = ["[" + inner]
+            out.append(("[" + inner + body + pad + "]") % tuple(chain.from_iterable(value)))
+        else:
+            head = "[" + inner
+            for item in value:
+                out.append(head)
+                _render(item, inner, out)
+                head = "," + inner
+            out.append(pad + "]")
+    elif type(value) is IntRuns:
+        out.append("[" + inner)
         _write_runs(value.runs, "," + inner, out)
         out.append(pad + "]")
-        return "".join(out)
-    if type(value) is ValueCounts:
-        return _render_value_counts(value.segments, inner, pad)
-    return json.dumps(value)
-
-
-def _render_value_counts(segments, inner: str, pad: str) -> str:
-    # Each row is "," + inner + "[" + item + "%d," + item + "%d" + inner + "]"; the
-    # leading comma of the first is dropped. In a segment of two or more values
-    # the text between two values is the same throughout, so the block writer
-    # writes the values going down with it as the separator. It holds the count,
-    # which is 2 in every such segment construct makes, so the block cache sees
-    # one separator per indent.
-    if not segments:
-        return "[]"
-    item = inner + "  "
-    opened, closed = "," + inner + "[" + item, "," + item + "%d" + inner + "]"
-    row = opened + "%d" + closed
-    out = []
-    for high, low, count in segments:
-        if high == low:
-            out.append(row % (high, count))
-        else:
-            out.append(opened)
-            _write_runs(((low, high + 1),), closed % count + opened, out, descending=True)
-            out.append(closed % count)
-    out[0] = "[" + out[0][1:]
-    out.append(pad + "]")
-    return "".join(out)
+    elif type(value) is ValueCounts:
+        # Each row is "," + inner + "[" + item + value + "," + item + count + inner + "]",
+        # the first with "[" for its ",". In a segment of two or more values the text
+        # between two values is the same throughout, so the block writer writes the
+        # values going down with it as the separator. It holds the count, which is 2
+        # in every such segment construct makes, so the block cache sees one separator
+        # per indent.
+        item = inner + "  "
+        head, opened = "[" + inner + "[" + item, "," + inner + "[" + item
+        closed = "," + item + "%d" + inner + "]"
+        for high, low, count in value.segments:
+            if high == low:
+                out.append(head + str(high) + closed % count)
+            else:
+                out.append(head)
+                _write_runs(((low, high + 1),), closed % count + opened, out, descending=True)
+                out.append(closed % count)
+            head = opened
+        out.append(pad + "]" if value.segments else "[]")
+    else:
+        out.append(json.dumps(value))
+    return out
 
 
 @functools.lru_cache(maxsize=4)  # the CLI writes runs with four: see _write_runs
@@ -596,32 +599,28 @@ def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, list[str]]:
     return (args, []) if args is not None else _parser.parse_known_args(argv)
 
 
-_WRITE_CHUNK = 1 << 22  # characters per write; one Linux write() takes up to 0x7ffff000 bytes
-
-
-def _write(stream, text: str) -> None:
-    """Write ``text`` to the text stream ``stream`` in chunks of a few MB, then flush it.
+def _write(stream, pieces: list[str]) -> None:
+    """Write the strings ``pieces`` to the text stream ``stream`` in order, then flush it.
 
     Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), ``sys.stdout`` sits on
     a raw stream, each write is one write() of its descriptor, and the text
     layer drops the count it returns. A write cut short (by Linux's cap of
     0x7ffff000 bytes, a reader that closes the pipe part-way, a disk that
-    fills part-way) would end with no error. So over a raw stream each chunk
+    fills part-way) would end with no error. So over a raw stream each piece
     is encoded here and written until the counts add up to it; the next
-    write after a short one reports the error. A buffered stream checks its
-    counts itself, and the flush brings its write errors here, so the caller
-    reports them. A stream with no ``buffer``, such as ``io.StringIO``, takes
-    the text.
+    write after a short one reports the error. Any other stream, buffered
+    or with no ``buffer`` (such as ``io.StringIO``), takes the pieces through
+    ``writelines``: a buffered one checks its counts itself, and the flush
+    brings its write errors here, so the caller reports them.
     """
     raw = getattr(stream, "buffer", None)
     if raw is None or not isinstance(raw, io.RawIOBase):  # None skips the slower ABC check
-        for start in range(0, len(text), _WRITE_CHUNK):
-            stream.write(text[start:start + _WRITE_CHUNK])
+        stream.writelines(pieces)
         stream.flush()
         return
     stream.flush()  # anything the text layer holds goes first
-    for start in range(0, len(text), _WRITE_CHUNK):
-        data = memoryview(text[start:start + _WRITE_CHUNK].encode(stream.encoding, stream.errors))
+    for piece in pieces:
+        data = memoryview(piece.encode(stream.encoding, stream.errors))
         while data:
             data = data[raw.write(data):]
 
@@ -687,13 +686,15 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         _warn(f"addtriples: internal verification failure: {exc}\n")
         return EXIT_VERIFICATION
-    text = render_json(payload) if args.format == "json" else render_csv(csv_rows(payload))
+    # every piece is built before the first byte is written
+    pieces = (_render(payload, "\n", []) + ["\n"] if args.format == "json"
+              else [render_csv(csv_rows(payload))])
     try:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
-                _write(handle, text)
+                _write(handle, pieces)
         else:
-            _write(sys.stdout, text)
+            _write(sys.stdout, pieces)
     except OSError as exc:
         return _write_failed(args.output, exc)
     return code

@@ -124,7 +124,8 @@ class ShiftProfile:
 
 
 def build_shift_profile(p: int, t: int) -> ShiftProfile:
-    """The overlap multiset of B = {0..t-1} in closed form, checked by both mass identities.
+    """The overlap multiset of B = {0..t-1} in closed form, checked by both mass identities
+    (:func:`_checked_floor_run`, as ``construct`` and multiset-dp are).
 
     With floor = max(0, 2t - p): one copy of t (from a = 0), two copies of
     every v strictly between floor and t (from a = +-(t - v)), and the other
@@ -132,16 +133,11 @@ def build_shift_profile(p: int, t: int) -> ShiftProfile:
     entries, whatever the size of p.
     """
     p, t = _check_interval_args(p, t)
-    floor, run = _floor_run(p, t)
+    floor, run = _checked_floor_run(p, t)
     counts = dict.fromkeys(range(t, floor, -1), 2)
     counts[t] = 1
     counts[floor] = run
-    profile = ShiftProfile(p, t, counts)
-    if profile.total() != p:
-        raise VerificationError(f"profile mass {profile.total()} != p = {p}")
-    if profile.weighted_total() != t * t:
-        raise VerificationError(f"profile weighted mass {profile.weighted_total()} != t^2 = {t * t}")
-    return profile
+    return ShiftProfile(p, t, counts)
 
 
 def _smallest_of_pairs(n: int) -> int:

@@ -76,11 +76,12 @@ class TestShiftProfile:
 
     @pytest.mark.parametrize("off, message", [((0, 2), "profile mass"), ((1, 2), "weighted mass")])
     def test_construct_and_multiset_dp_check_both_mass_identities(self, monkeypatch, off, message):
-        # (F, run) moved by ``off`` breaks one identity; both closed-form routes refuse it
+        # (F, run) moved by ``off`` breaks one identity; every closed-form route refuses it
         real = construction._floor_run
         monkeypatch.setattr(construction, "_floor_run",
                             lambda p, t: (real(p, t)[0] + off[0], real(p, t)[1] + off[1]))
-        for route in (lambda: construct(11, 4, 5, 10), lambda: spectrum_multiset_dp(11, 4, 5)):
+        for route in (lambda: construct(11, 4, 5, 10), lambda: spectrum_multiset_dp(11, 4, 5),
+                      lambda: build_shift_profile(11, 5)):
             with pytest.raises(VerificationError, match=message):
                 route()
 
