@@ -406,8 +406,8 @@ def render_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, with every
     :class:`IntRuns` in ``payload`` written as the list of its ints and every
     :class:`ValueCounts` as the list of its [value, count] rows: the one join
-    of the pieces :func:`_render` appends to a list, and ``"\\n"``. :func:`main`
-    writes the same pieces unjoined.
+    of the pieces :func:`_render` lists for the whole payload, the trailing
+    ``"\\n"`` last. :func:`main` writes the same pieces unjoined.
 
     ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
     is set. Here only the containers are walked in Python, each appending its
@@ -430,7 +430,7 @@ def render_json(payload: dict) -> str:
     block writer does. Dict keys must be strings, as in every payload the
     CLI builds.
     """
-    return "".join(_render(payload, "\n", []) + ["\n"])
+    return "".join(_render(payload, "\n"))
 
 
 _quote = json.encoder.encode_basestring_ascii  # the string writer json.dumps uses
@@ -441,11 +441,14 @@ def _int_template(n: int, inner: str, pad: str) -> str:
     return "[" + inner + "%d" + ("," + inner + "%d") * (n - 1) + pad + "]"
 
 
-def _render(value, pad: str, out: list[str]) -> list[str]:
-    # Appends the JSON text of ``value`` to ``out`` and returns ``out``. ``pad`` is a
-    # newline plus the indent of the line that holds ``value``; exact types, so bools
+def _render(value, pad: str, out: list[str] | None = None) -> list[str]:
+    # Appends the JSON text of ``value`` to ``out`` and returns ``out``; with no ``out``, a
+    # new list of the pieces of the whole output ``value``, then its trailing "\n". ``pad``
+    # is a newline plus the indent of the line that holds ``value``; exact types, so bools
     # (ints too) and other subclasses go to json.dumps. A container writes ``head``
     # before each item: its opening bracket and ``inner`` first, then "," + inner.
+    if out is None:
+        return _render(value, pad, []) + ["\n"]
     inner = pad + "  "
     if type(value) is int:
         out.append(str(value))
@@ -604,11 +607,12 @@ def _write(stream, pieces: list[str]) -> None:
 
     Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), ``sys.stdout`` sits on
     a raw stream, each write is one write() of its descriptor, and the text
-    layer drops the count it returns. A write cut short (by Linux's cap of
-    0x7ffff000 bytes, a reader that closes the pipe part-way, a disk that
-    fills part-way) would end with no error. So over a raw stream each piece
-    is encoded here and written until the counts add up to it; the next
-    write after a short one reports the error. Any other stream, buffered
+    layer drops the count it returns: a write cut short (by Linux's cap of
+    0x7ffff000 bytes, a reader that closes the pipe part-way, a full disk)
+    would end with no error. So over a raw stream the pieces go, encoded,
+    through an ``io.BufferedWriter``, which gathers them into few writes
+    and writes until the counts add up; it is detached at the end, or after
+    a failed write left to close the raw stream. Any other stream, buffered
     or with no ``buffer`` (such as ``io.StringIO``), takes the pieces through
     ``writelines``: a buffered one checks its counts itself, and the flush
     brings its write errors here, so the caller reports them.
@@ -619,10 +623,9 @@ def _write(stream, pieces: list[str]) -> None:
         stream.flush()
         return
     stream.flush()  # anything the text layer holds goes first
-    for piece in pieces:
-        data = memoryview(piece.encode(stream.encoding, stream.errors))
-        while data:
-            data = data[raw.write(data):]
+    buffered = io.BufferedWriter(raw)
+    buffered.writelines(piece.encode(stream.encoding, stream.errors) for piece in pieces)
+    buffered.detach()  # flushes it, and leaves the raw stream open
 
 
 def _write_failed(output: str | None, exc: OSError) -> int:
@@ -687,8 +690,7 @@ def main(argv: list[str] | None = None) -> int:
         _warn(f"addtriples: internal verification failure: {exc}\n")
         return EXIT_VERIFICATION
     # every piece is built before the first byte is written
-    pieces = (_render(payload, "\n", []) + ["\n"] if args.format == "json"
-              else [render_csv(csv_rows(payload))])
+    pieces = _render(payload, "\n") if args.format == "json" else [render_csv(csv_rows(payload))]
     try:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -624,8 +624,8 @@ def _text_stream(raw, buffered):
 def test_stdout_receives_every_byte_through_short_writes(buffered):
     # Unbuffered, the text layer hands each write to the descriptor whole and drops a
     # short count, as one write past Linux's cap keeps 0x7ffff000 bytes. The raw here
-    # takes fewer bytes per call than most pieces of this 21.5 MB JSON hold, so every
-    # such piece is written in several calls
+    # takes fewer bytes per call than the 8 KiB writes of a BufferedWriter, and than
+    # most pieces of this 21.5 MB JSON, so each of those writes is cut short
     raw = _CappedRaw(cap=4093)
     stream = _text_stream(raw, buffered)
     with contextlib.redirect_stdout(stream):
@@ -718,17 +718,35 @@ def test_a_pipe_closed_part_way_exits_1(unbuffered):
     assert err.decode() == "addtriples: cannot write stdout: Broken pipe\n"
 
 
+class _KeepingSink(io.TextIOBase):
+    """A text sink that keeps the strings written to it, each the very object
+    passed in, with no copy. So a traced peak counts what the writer holds, not
+    how a StringIO buffers its text, which differs between CPython versions."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+
 def test_construct_peak_memory_stays_near_its_output_size():
     # The pieces main writes are the output's size or so: both calls read 1.01x on
-    # CPython 3.11. Listing a run's ints, or any join of the whole text next to its
-    # pieces, takes the peak to 2x or more.
+    # CPython 3.11. Listing a run's ints, or any join or copy of the whole text next
+    # to its pieces, takes the peak to 2x or more.
     warm = ["--p", "9", "--s", "7", "--t", "6"]  # parser and block texts built first
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["construct", *warm, "--r", "27"]) == 0
         assert cli.main(["spectrum", *warm, "--mode", "multiset-dp"]) == 0
-    multiset_dp = ("spectrum", "--p", "2001", "--s", "1000", "--t", "1000", "--mode", "multiset-dp")
-    for argv in (_RUN_PINS[0][0], multiset_dp):
-        sink = io.StringIO()
+    multiset_dp = (("spectrum", "--p", "2001", "--s", "1000", "--t", "1000", "--mode",
+                    "multiset-dp"),
+                   "35df1e2f9dcd58f1fa2f1696689491e19256f657588c0cb38467fb00e1a6800b")
+    for argv, digest in (_RUN_PINS[0], multiset_dp):
+        sink = _KeepingSink()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
@@ -736,7 +754,9 @@ def test_construct_peak_memory_stays_near_its_output_size():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * len(sink.getvalue()), (argv, peak, len(sink.getvalue()))
+        out = "".join(sink.pieces)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert peak < 1.25 * len(out), (argv, peak, len(out))
 
 
 def _fresh_interpreter(code, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
