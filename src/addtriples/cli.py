@@ -15,7 +15,7 @@ import json
 import operator
 import os
 import sys
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 
 from . import counting, verify
 from .bounds import bounds_for
@@ -416,18 +416,19 @@ def render_json(payload: dict) -> str:
     scalars through ``json.dumps``. An ``IntRuns`` (the runs a payload holds
     by construction: ``construct``'s witnesses, a spectrum's values) is
     written run by run in blocks of a thousand ints by :func:`_write_runs`,
-    with no int object per item. A :class:`ValueCounts` (``construct``'s
-    selection) is written as the list of its [value, count] rows segment by
-    segment: a one-value segment as one row, a longer one by the block
-    writer, going down, with the rows' text between its values as the
-    separator. A list of plain ints is one piece, by one ``%`` format: a
-    template with one ``%d`` per item and the indented separators between
-    them, applied to the tuple of the items. A list of lists of n >= 1 plain
-    ints each (the ``skipped`` triples of ``scan``) joins one row template
-    per row and applies ``%`` once to all the ints; rows of mixed lengths
-    are walked item by item. ``'%d' % x`` is ``str(x)`` for an exact int, and
-    raises the same ``ValueError`` past the int -> str digit limit, as the
-    block writer does. Dict keys must be strings, as in every payload the
+    each block q >= 1 one ASCII slice of a byte template of its items with
+    str(q) stamped in, with no int object or string per item. A
+    :class:`ValueCounts` (``construct``'s selection) is written as the list
+    of its [value, count] rows segment by segment: a one-value segment as
+    one row, a longer one by the block writer, going down, with the rows'
+    text between its values as the separator. A list of plain ints is one
+    piece, by one ``%`` format: a template with one ``%d`` per item and the
+    indented separators between them, applied to the tuple of the items. A
+    list of lists of n >= 1 plain ints each (the ``skipped`` triples of
+    ``scan``) joins one row template per row and applies ``%`` once to all
+    the ints; rows of mixed lengths are walked item by item. ``'%d' % x`` is
+    ``str(x)`` for an exact int, and raises the same ``ValueError`` past the
+    int -> str digit limit, as the block writer does. Dict keys must be strings, as in every payload the
     CLI builds.
     """
     return "".join(_render(payload, "\n"))
@@ -510,19 +511,28 @@ def _render(value, pad: str, out: list[str] | None = None) -> list[str]:
 
 
 @functools.lru_cache(maxsize=4)  # the CLI writes runs with four: see _write_runs
-def _int_blocks(sep: str, descending: bool) -> tuple[tuple[str, ...], str, tuple[int, ...]]:
-    """The block writer's cached text for one separator and direction, built on its
-    first use: the thousand items "000" + sep, ..., "999" + sep; the text of the
-    ints 0, 1, ..., 999, each followed by ``sep``; and where each int's text starts
-    in it, with its length last. Going down, the items and the ints are in the
+def _int_blocks(sep: str, descending: bool) -> tuple[str, tuple[int, ...]]:
+    """Block 0 of the block writer for one separator and direction, built on its first
+    use: the text of the ints 0, 1, ..., 999, each followed by ``sep``, and where each
+    int's text starts in it, with its length last. Going down, the ints are in the
     reverse order, from 999 to 0."""
-    digits = "0123456789"
-    tails = tuple(map("".join, product(digits, digits, digits, (sep,))))
-    head = [*(tail[2:] for tail in tails[:10]), *(tail[1:] for tail in tails[10:100]),
-            *tails[100:]]  # 0..999 without their leading zeros
-    if descending:
-        tails, head = tails[::-1], head[::-1]
-    return tails, "".join(head), tuple(accumulate(map(len, head), initial=0))
+    order = range(999, -1, -1) if descending else range(1000)
+    head = [f"{k}{sep}" for k in order]
+    return "".join(head), tuple(accumulate(map(len, head), initial=0))
+
+
+# one column of a block's items, for each digit of str(q): see _write_runs
+_DIGIT_COLUMNS = {digit: digit.encode() * 1000 for digit in "0123456789"}
+
+
+@functools.lru_cache(maxsize=32)  # four separators, str(q) of 1 to 7 digits for p < 2^31
+def _block_template(sep: str, descending: bool, width: int) -> bytes:
+    """The ASCII bytes of the thousand items of a block q >= 1 whose str(q) has
+    ``width`` digits, built on its first use for one separator and direction: each
+    item is ``width`` zeros, then k in three digits, then ``sep``, for k = 0..999,
+    or 999..0 going down. Items are ``width + 3 + len(sep)`` bytes apart."""
+    order = range(999, -1, -1) if descending else range(1000)
+    return b"".join(b"%s%03d%s" % (b"0" * width, k, sep.encode("ascii")) for k in order)
 
 
 def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> None:
@@ -530,16 +540,22 @@ def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> Non
     each run going up, or going down from its last int when ``descending``.
 
     The ints go in blocks of a thousand. Block q >= 1 holds 1000q + k for
-    0 <= k < 1000, whose text is str(q) then k in three digits, so for a
-    slice of the block's items ``str(q) + str(q).join(tails[i:j])`` is their
-    text, each followed by ``sep``; block 0 is one slice of the cached text
-    of 0..999. Going down, the same holds with the items in reverse order. A
-    run costs O(its blocks) Python steps plus copying its text, with no int
-    object per item. Runs are nonnegative and disjoint. The CLI's separators
+    0 <= k < 1000, whose text is str(q) then k in three digits. Each call
+    copies the block template of each width of str(q) it meets
+    (:func:`_block_template`) and stamps str(q) into the copy's first
+    columns, one strided slice assignment per digit that differs from the
+    str(q) stamped there before; items i..j-1 of the block are then one
+    slice of the copy, decoded as ASCII, each item followed by ``sep``.
+    Block 0 is one slice of the cached text of 0..999. Going down, the same
+    holds with the items in reverse order. A run costs O(its blocks) Python
+    steps plus copying its text, with no int object or string per item, and
+    no call shares a mutable buffer with another. Runs are nonempty,
+    nonnegative and disjoint, and ``sep`` is ASCII. The CLI's separators
     are the witnesses' and a spectrum's ",\\n    ", the CSV's " " and ";",
     and the one between the rows of ``construct``'s selection, going down.
     """
-    tails, head, starts = _int_blocks(sep, descending)
+    head, starts = _int_blocks(sep, descending)
+    stamps: dict[int, list] = {}  # width -> [this call's copy of its template, str(q) in it]
     written = len(out)
     for start, stop in runs:
         str(stop - 1)  # the largest item: ValueError past the digit limit, as json.dumps
@@ -548,12 +564,23 @@ def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> Non
             i, j = max(start - 1000 * q, 0), min(stop - 1000 * q, 1000)  # its items i..j-1
             if descending:  # their places among the block's items in reverse order
                 i, j = 1000 - j, 1000 - i
-            if q:
-                high = str(q)
-                out.append(high)
-                out.append(high.join(tails if j - i == 1000 else tails[i:j]))
-            else:
+            if not q:
                 out.append(head[starts[i]:starts[j]])
+                continue
+            high = str(q)
+            width = len(high)
+            size = width + 3 + len(sep)  # bytes per item
+            stamp = stamps.get(width)
+            if stamp is None:
+                stamp = stamps[width] = [bytearray(_block_template(sep, descending, width)),
+                                         "0" * width]
+            block, stamped = stamp
+            if high != stamped:
+                for column, (old, new) in enumerate(zip(stamped, high)):
+                    if old != new:
+                        block[column::size] = _DIGIT_COLUMNS[new]
+                stamp[1] = high
+            out.append((block if j - i == 1000 else block[i * size:j * size]).decode("ascii"))
     if len(out) > written:  # no separator after the last int
         out[-1] = out[-1][:len(out[-1]) - len(sep)]
 

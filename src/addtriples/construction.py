@@ -35,9 +35,10 @@ most two runs of residues, so :func:`construct` realises A as at most
 four sorted residue runs (``ResidueSet._from_runs``): its bitmask is
 built by int arithmetic, and it keeps the runs, which
 :meth:`ResidueSet.runs` hands to the CLI, so its members are listed only
-if a caller iterates it. It walks no value, and
-neither it nor the recount by :func:`counting.count_interval` imports
-numpy; only :func:`extreme_sums_grid` does. The selection rule and the
+if a caller iterates it. The recount by :func:`counting.count_interval`
+clips those kept runs to the two windows that meet B, without reading
+the bitmask. It walks no value, and neither step imports numpy; only
+:func:`extreme_sums_grid` does. The selection rule and the
 residue tie-breaking here are deterministic, so a given (p, s, t, r) always
 yields the same witness set A.
 """
@@ -347,10 +348,9 @@ def construct(p: int, s: int, t: int, r: int) -> ConstructionWitness:
     docstring). ``selection_segments`` holds the overlap values of A as at
     most seven descending segments (high, low, count), and ``selection``
     lists them as a value -> count dict only when read. The achieved count
-    is recomputed from the bitmask of A by :func:`counting.count_interval`,
-    in closed form over its runs of members, before the witness is
-    returned; a mismatch would be a bug and raises
-    :class:`VerificationError`. No step imports numpy.
+    is recomputed by :func:`counting.count_interval`, in closed form over
+    the runs A keeps, before the witness is returned; a mismatch would be a
+    bug and raises :class:`VerificationError`. No step imports numpy.
     """
     params = Params(p, s, t)
     r = operator.index(r)

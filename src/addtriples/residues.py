@@ -27,7 +27,6 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, starmap
 from typing import Iterable, Iterator
 
@@ -288,7 +287,7 @@ class ResidueSet:
         members = flags.nonzero()[0].astype(np.int64, copy=False)
         members.flags.writeable = False
         made = cls._derived(modulus, pack_indicator(flags))
-        made.__dict__["_member_array"] = members  # the slot the cached property fills
+        made.__dict__["_member_array"] = members  # the key the _member_array property fills
         return made
 
     @classmethod
@@ -308,7 +307,7 @@ class ResidueSet:
         for start, stop in runs:
             bits |= (1 << stop) - (1 << start)
         made = cls(modulus, bits)  # checks stop <= p
-        made.__dict__["_runs"] = runs  # read by runs and _members
+        made.__dict__["_runs"] = runs  # read by runs and elements
         return made
 
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -321,26 +320,39 @@ class ResidueSet:
         runs = self.__dict__.get("_runs")
         return bit_runs(self.bits) if runs is None else runs
 
-    @cached_property
+    @property
     def _member_array(self) -> np.ndarray:
-        """The members in ascending order, as a read-only int64 array."""
-        members = _position_array(self.bits)
-        members.flags.writeable = False
+        """The members in ascending order, as a read-only int64 array.
+
+        Unpacked from the bitmask on the first read and kept in the instance
+        dict under the same key, unless the set was built with it
+        (:meth:`_from_indicator`).
+        """
+        members = self.__dict__.get("_member_array")
+        if members is None:
+            members = _position_array(self.bits)
+            members.flags.writeable = False
+            self.__dict__["_member_array"] = members
         return members
 
-    @cached_property
-    def _members(self) -> tuple[int, ...]:
-        runs = self.__dict__.get("_runs")
-        if runs is not None:
-            return tuple(chain.from_iterable(starmap(range, runs)))
-        return tuple(self._member_array.tolist())
-
     def elements(self) -> tuple[int, ...]:
-        """The members in ascending order."""
-        return self._members
+        """The members in ascending order.
+
+        Listed on first call into the instance dict under ``_members``: off the
+        kept runs of a set built from runs, else off :attr:`_member_array`.
+        The fills take no lock, unlike ``functools.cached_property`` before
+        Python 3.12; two threads that miss together compute equal values.
+        """
+        members = self.__dict__.get("_members")
+        if members is None:
+            runs = self.__dict__.get("_runs")
+            members = (tuple(chain.from_iterable(starmap(range, runs))) if runs is not None
+                       else tuple(self._member_array.tolist()))
+            self.__dict__["_members"] = members
+        return members
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._members)
+        return iter(self.elements())
 
     def __len__(self) -> int:
         return self.cardinality

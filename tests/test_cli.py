@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -387,22 +388,26 @@ def test_render_json_refuses_ints_past_the_digit_limit_as_json_dumps_does(payloa
 
 
 def _ascending_runs(draws):
-    """Runs (start, start + length) near each anchor, pushed up to be ascending and disjoint;
-    some come out empty or adjacent to the one before."""
+    """Runs of each length that start near their anchor, or end there when ``ends`` is
+    set, pushed up to be ascending and disjoint; some come out empty or adjacent to the
+    one before."""
     runs, stop = [], 0
-    for anchor, offset, length in sorted(draws):
-        start = max(anchor + offset, stop)
+    for anchor, offset, length, ends in sorted(draws):
+        start = max(anchor + offset - (length if ends else 0), stop)
         stop = start + length
         runs.append((start, stop))
     return runs
 
 
-# Ascending, disjoint, nonnegative runs, short enough to list, with ends at and
-# around the block writer's edges (0, 999, 1000, 1001, 9999) and far past them.
+# Ascending, disjoint, nonnegative runs, short enough to list, that start or end
+# at and around the block writer's edges: 0, 1000, and 10^k - 1, 10^k, 10^k + 1 for
+# k = 3..12, where str(q) of block q gains a digit, so every width from 1 to 10.
+_RUN_EDGES = [0, 1000, *(10**k + d for k in range(3, 13) for d in (-1, 0, 1)), 2**40]
 _RUNS = st.lists(
-    st.tuples(st.sampled_from([0, 999, 1000, 1001, 9999, 10**6, 2**40]),
+    st.tuples(st.sampled_from(_RUN_EDGES),
               st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-1100, 1100)),
-              st.one_of(st.sampled_from([0, 1, 999, 1000, 1001]), st.integers(0, 2100))),
+              st.one_of(st.sampled_from([0, 1, 999, 1000, 1001]), st.integers(0, 2100)),
+              st.booleans()),
     max_size=6,
 ).map(_ascending_runs)
 
@@ -420,9 +425,18 @@ def _nested(value, depth):
 @example([(0, 1)], 0)  # [0]
 @example([(0, 1000)], 1)  # exactly block 0
 @example([(999, 1001)], 2)  # across the first block edge
+@example([(10**k - 1001, 10**k + 1001) for k in range(4, 13)], 0)  # every width, whole blocks
 def test_runs_render_as_their_flat_ints(runs, depth):
     flat = [x for start, stop in runs for x in range(start, stop)]
     as_runs = IntRuns(runs)
+    # the block writer, on the merged runs, each way, with each kind of separator
+    for sep in (",\n    ", " ", ",\n      2\n    ],\n    [\n      "):
+        for descending in (False, True):
+            out = []
+            cli._write_runs(as_runs.runs, sep, out, descending)
+            ints = [x for start, stop in as_runs.runs
+                    for x in (range(stop - 1, start - 1, -1) if descending else range(start, stop))]
+            assert "".join(out) == sep.join(map(str, ints)), (sep, descending)
     assert list(as_runs) == flat and len(as_runs) == len(flat) and as_runs == tuple(flat)
     payload = {"values": _nested(as_runs, depth), "twice": [as_runs, as_runs], "n": len(flat)}
     listed = {"values": _nested(flat, depth), "twice": [flat, flat], "n": len(flat)}
@@ -498,11 +512,13 @@ def test_value_counts_render_as_their_rows_at_any_depth():
 
 def test_block_cache_sees_one_separator_per_form():
     # 200 construct calls whose floor counts and one-value counts all differ: the
-    # block writer caches its text per separator, so no count may reach one. The
-    # JSON writes A, B and the selection's count-2 segments with two separators,
-    # the CSV A and B with a third.
+    # block writer caches its text per separator, and its templates per separator,
+    # direction and width of str(q), so no count may reach either. The JSON writes
+    # A, B and the selection's count-2 segments with two separators, the CSV A and
+    # B with a third; every block q >= 1 here has a one-digit str(q).
     floors, ends = set(), set()
     misses = cli._int_blocks.cache_info().misses
+    template_misses = cli._block_template.cache_info().misses
     for i in range(200):
         p, t = 4001 + 4 * i, 1000 + i  # floor 0 with p - 2t + 1 = 2002 + 2i copies
         s = p - 2 * t + 1 + 3 * i + 1  # every floor and 3i + 1 more
@@ -516,6 +532,39 @@ def test_block_cache_sees_one_separator_per_form():
                 assert cli.main(args + form) == 0, args
     assert len(floors) == 200 and len(ends) > 400
     assert cli._int_blocks.cache_info().misses - misses <= 3
+    assert cli._block_template.cache_info().misses - template_misses <= 3
+
+
+def test_concurrent_renders_keep_their_own_texts():
+    # Each call stamps str(q) into its own copy of a block template. Four threads
+    # render payloads whose blocks share the separator and the width of str(q),
+    # 200 times each, with the interpreter switching threads as often as it can: a
+    # template shared between calls would mix their digits.
+    payloads = [{"values": IntRuns([(base + i, base + 20000 + i)])}
+                for i, base in enumerate((10**6, 3 * 10**6, 5 * 10**6, 7 * 10**6))]
+    expected = [json.dumps({"values": list(payload["values"])}, indent=2) + "\n"
+                for payload in payloads]
+    texts = [[] for _ in payloads]
+    start = threading.Barrier(len(payloads))
+
+    def render(i):
+        start.wait()
+        for _ in range(200):
+            texts[i].append(cli.render_json(payloads[i]))
+
+    threads = [threading.Thread(target=render, args=(i,)) for i in range(len(payloads))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(texts, expected):
+        assert len(got) == 200 and all(text == want for text in got)
 
 
 # The default JSON and CSV of a large construct and a mirrored multiset-dp

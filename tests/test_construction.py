@@ -375,10 +375,12 @@ class TestConstruct:
     def test_realises_its_runs_without_a_per_value_pass(self):
         # At p = 2^20 + 1 and s = t = 2^19 the selection holds 2^18 + 1 values in
         # three segments. _select writes segments, not values: its traced peak is
-        # about 2 kB. construct sets its runs as O(1) residue ranges and recounts
-        # them off the binary digits of A, a p-byte string: its peak is 1.27p bytes
-        # on CPython 3.11. A per-value pass that lists the selection or A's
-        # residues costs over 4p bytes, so a peak of 2p bytes means one is back.
+        # about 2 kB. construct sets its runs as O(1) residue ranges, builds the
+        # bitmask of A from them, p/8 bytes, and recounts A off the runs it keeps:
+        # its peak is 0.40p bytes on CPython 3.11. A per-value pass that lists the
+        # selection or A's residues costs over 4p bytes, and a recount off the
+        # binary digits of A, a p-byte string, 1.27p; a peak of p/2 bytes means
+        # one of them is back.
         p, s, t = 2**20 + 1, 2**19, 2**19
         r = extreme_sums(p, s, t)[1]
 
@@ -393,7 +395,7 @@ class TestConstruct:
         selection = traced_peak(lambda: _select(p, t, s, r))
         runs = traced_peak(lambda: construct(p, s, t, r))
         assert selection < 2**16, selection
-        assert runs < 2 * p, (runs, selection)
+        assert runs < p // 2, (runs, selection)
 
     def test_construct_and_count_interval_stay_linear_in_p(self):
         # From p ~ 2^18 to p ~ 2^20 linear work takes about 4x the time and quadratic

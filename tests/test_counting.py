@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from addtriples import counting
+from addtriples.construction import construct, extreme_sums
 from addtriples.residues import (
     DomainError,
     IncompatibleSetsError,
@@ -411,6 +412,36 @@ class TestCountInterval:
             if t in slow_ts:
                 assert got[2] == interval_count(p, alternating.elements(), t), (p, t)
                 assert got == [counting.count_naive(a, b) for a in sets], (p, t)
+
+    def test_kept_runs_and_the_bitmask_scan_agree(self):
+        # A set built from runs keeps them, and count_interval clips them to the two
+        # windows; the same bits in a set built from its bitmask are scanned with
+        # bit_runs. The tests above keep to bitmask-built sets, so the scan stays
+        # covered; here both paths meet on construct's witnesses and on runs that
+        # straddle either window's edge, for every t at small p.
+        rng = random.Random(31)
+        for _ in range(300):
+            p = rng.choice([rng.randrange(3, 60, 2), rng.randrange(61, 100002, 2)])
+            s, t = rng.randint(1, p - 1), rng.randint(1, p - 1)
+            r1, r2 = extreme_sums(p, s, t)
+            r = rng.choice([r1, r1 + 1, r2 - 1, r2, rng.randint(r1, r2)])
+            r = min(max(r, r1), r2)
+            a, b = construct(p, s, t, r).a_set, interval_set(p, t)
+            scanned = ResidueSet(p, a.bits)
+            assert "_runs" in a.__dict__ and "_runs" not in scanned.__dict__
+            got = counting.count_interval(a, b)
+            assert got == counting.count_interval(scanned, b) == r, (p, s, t, r)
+            if p < 2000:
+                assert got == counting.count_shift(scanned, b), (p, s, t, r)
+        for p in (3, 5, 9, 21):
+            for _ in range(40):
+                cuts = sorted(rng.choices(range(p + 1), k=2 * rng.randint(0, 4)))
+                a = ResidueSet._from_runs(p, list(zip(cuts[::2], cuts[1::2])))
+                scanned = ResidueSet(p, a.bits)
+                for t in range(p + 1):
+                    b = interval_set(p, t)
+                    assert (counting.count_interval(a, b) == counting.count_interval(scanned, b)
+                            == counting.count_shift(scanned, b)), (p, a, t)
 
     @pytest.mark.parametrize("p", [3, 5, 9, 101, 4099])
     def test_refuses_non_interval_b_at_every_modulus(self, p):
