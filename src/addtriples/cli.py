@@ -542,10 +542,10 @@ def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> Non
     The ints go in blocks of a thousand. Block q >= 1 holds 1000q + k for
     0 <= k < 1000, whose text is str(q) then k in three digits. Each call
     copies the block template of each width of str(q) it meets
-    (:func:`_block_template`) and stamps str(q) into the copy's first
-    columns, one strided slice assignment per digit that differs from the
-    str(q) stamped there before; items i..j-1 of the block are then one
-    slice of the copy, decoded as ASCII, each item followed by ``sep``.
+    (:func:`_block_template`) and, when q is not the block last stamped
+    there, stamps str(q) into the copy's first columns, one strided slice
+    assignment per digit; items i..j-1 of the block are then one slice of
+    the copy, decoded as ASCII, each item followed by ``sep``.
     Block 0 is one slice of the cached text of 0..999. Going down, the same
     holds with the items in reverse order. A run costs O(its blocks) Python
     steps plus copying its text, with no int object or string per item, and
@@ -555,7 +555,7 @@ def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> Non
     and the one between the rows of ``construct``'s selection, going down.
     """
     head, starts = _int_blocks(sep, descending)
-    stamps: dict[int, list] = {}  # width -> [this call's copy of its template, str(q) in it]
+    stamps: dict[int, list] = {}  # width -> [this call's copy of its template, the q in it]
     written = len(out)
     for start, stop in runs:
         str(stop - 1)  # the largest item: ValueError past the digit limit, as json.dumps
@@ -572,14 +572,12 @@ def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> Non
             size = width + 3 + len(sep)  # bytes per item
             stamp = stamps.get(width)
             if stamp is None:
-                stamp = stamps[width] = [bytearray(_block_template(sep, descending, width)),
-                                         "0" * width]
-            block, stamped = stamp
-            if high != stamped:
-                for column, (old, new) in enumerate(zip(stamped, high)):
-                    if old != new:
-                        block[column::size] = _DIGIT_COLUMNS[new]
-                stamp[1] = high
+                stamp = stamps[width] = [bytearray(_block_template(sep, descending, width)), 0]
+            block = stamp[0]
+            if stamp[1] != q:
+                for column, digit in enumerate(high):
+                    block[column::size] = _DIGIT_COLUMNS[digit]
+                stamp[1] = q
             out.append((block if j - i == 1000 else block[i * size:j * size]).decode("ascii"))
     if len(out) > written:  # no separator after the last int
         out[-1] = out[-1][:len(out[-1]) - len(sep)]

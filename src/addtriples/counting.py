@@ -23,11 +23,11 @@ members as Python ints through :meth:`ResidueSet.elements`.
 
 :func:`count_interval` is not a fifth cross-check route: it is a specialised
 recount for B = {0..t-1} only, which :func:`construct` uses to recount every
-witness it builds. It takes the maximal runs of A inside the two windows
-that meet B, clipped from the runs a set built from runs keeps (as
-``construct``'s witnesses are) or read with :func:`residues.bit_runs`,
-C-level O(p) scans, and adds a closed-form arithmetic series per run, so
-its Python work is O(runs) and it never imports numpy.
+witness it builds. It clips the maximal runs of A
+(:meth:`ResidueSet.runs`: kept by a set built from runs, as ``construct``'s
+witnesses are, else one C-level O(p) scan) to the two windows that meet B,
+and adds a closed-form arithmetic series per clipped run, so its Python
+work is O(runs) and it never imports numpy.
 
 :func:`count_naive` and the representation counts N(c) behind
 :func:`count_layers` each choose one of two kernels by :func:`_dense`. A
@@ -51,7 +51,6 @@ from .residues import (
     DomainError,
     NumpyOnFirstUse,
     ResidueSet,
-    bit_runs,
     common_modulus,
     pack_indicator,
 )
@@ -180,30 +179,25 @@ def count_interval(a_set: ResidueSet, b_set: ResidueSet) -> int:
     in a + t - p when a > p - t. So only the members of A in those two
     windows count, and a run [lo, hi) of them adds an arithmetic series:
     T(t - lo) - T(t - hi) in the first, T(hi + t - p - 1) - T(lo + t - p - 1)
-    in the second, T(n) = n(n + 1)/2. A set built from runs (as
-    ``construct``'s witnesses are) has its kept runs clipped to the two
-    windows, in O(runs) steps. For any other set, :func:`residues.bit_runs`
-    reads the runs of each window alone, off the bits of A masked by B and
-    off the bits of A from p - t + 1 up: a C-level O(p) scan plus O(runs)
-    Python arithmetic. Both are exact for any A, and neither imports numpy.
-    Raises :class:`DomainError` for any other B.
+    in the second, T(n) = n(n + 1)/2. The runs are those of
+    :meth:`ResidueSet.runs`, clipped to each window: O(1) to fetch for a set
+    built from runs (as ``construct``'s witnesses are), else a C-level O(p)
+    scan of the bitmask, then O(runs) Python arithmetic. Exact for any A,
+    and no numpy. Raises :class:`DomainError` for any other B.
     """
     p = common_modulus(a_set, b_set)
     t = b_set.cardinality
     if b_set.bits.bit_length() != t:  # t members, the highest at t - 1
         raise DomainError(f"B is not the interval {{0..{t - 1}}} of Z_{p}")
-    base = p - t + 1  # the second window is [base, p); its runs are counted from base
-    kept = a_set.__dict__.get("_runs")  # the runs a set built from runs keeps, as runs() reads
-    if kept is None:
-        low, high = bit_runs(a_set.bits & b_set.bits), bit_runs(a_set.bits >> base)
-    else:
-        low = [(lo, min(hi, t)) for lo, hi in kept if lo < t]
-        high = [(max(lo, base) - base, hi - base) for lo, hi in kept if hi > base]
+    base = p - t + 1  # the second window is [base, p)
     twice = 0  # twice the count: each series is T(.) - T(.), and 2T(n) = n(n + 1)
-    for lo, hi in low:
-        twice += (t - lo) * (t - lo + 1) - (t - hi) * (t - hi + 1)
-    for lo, hi in high:
-        twice += hi * (hi + 1) - lo * (lo + 1)
+    for lo, hi in a_set.runs():
+        if lo < t:  # its part in [0, t)
+            top = min(hi, t)
+            twice += (t - lo) * (t - lo + 1) - (t - top) * (t - top + 1)
+        if hi > base:  # its part in [base, p), counted from base
+            low, high = max(lo, base) - base, hi - base
+            twice += high * (high + 1) - low * (low + 1)
     return twice // 2
 
 

@@ -414,10 +414,10 @@ class TestCountInterval:
                 assert got == [counting.count_naive(a, b) for a in sets], (p, t)
 
     def test_kept_runs_and_the_bitmask_scan_agree(self):
-        # A set built from runs keeps them, and count_interval clips them to the two
-        # windows; the same bits in a set built from its bitmask are scanned with
-        # bit_runs. The tests above keep to bitmask-built sets, so the scan stays
-        # covered; here both paths meet on construct's witnesses and on runs that
+        # count_interval clips ResidueSet.runs() to the two windows: the runs a set
+        # built from runs keeps, or for a set built from its bitmask, a bit_runs
+        # scan. The tests above keep to bitmask-built sets, so the scan stays
+        # covered; here both sources meet on construct's witnesses and on runs that
         # straddle either window's edge, for every t at small p.
         rng = random.Random(31)
         for _ in range(300):
