@@ -252,11 +252,10 @@ def _spectrum_output(report: SpectrumReport, timing: bool):
 
 
 def _csv_row(payload: dict) -> dict:
-    """A CSV row from a JSON payload: witnesses and elapsed dropped, int lists and runs joined with ';'."""
+    """The CSV row of a JSON payload: every field but witnesses, selection and elapsed."""
     return {
-        key: _joined(value, ";") if isinstance(value, (list, IntRuns)) else value
-        for key, value in payload.items()
-        if key not in ("witnesses", "elapsed")
+        key: value for key, value in payload.items()
+        if key not in ("witnesses", "selection", "elapsed")
     }
 
 
@@ -314,7 +313,7 @@ def scan_payload(result: ScanResult) -> dict:
     return {
         "p_min": result.p_min, "p_max": result.p_max, "budget": result.budget,
         "instances_run": result.instances_run,
-        "skipped": [list(item) for item in result.skipped],
+        "skipped": result.skipped,
         "records": [
             {"p": rec.p, "s": rec.s, "t": rec.t, "f": rec.f, "g": rec.g,
              "exceptions": list(rec.values), "witnesses": _witness_rows(rec.witnesses)}
@@ -348,24 +347,13 @@ def _run_verify(args):
 # The CSV rows of each command, derived from its JSON payload alone; main
 # builds them only for --format csv.
 
-def _bounds_rows(payload: dict) -> list[dict]:
-    return [payload]
+def _single_row(payload: dict) -> list[dict]:
+    return [_csv_row(payload)]
 
 
 def _count_rows(payload: dict) -> list[dict]:
     counts = payload.get("counts", {payload["method"]: payload["count"]})  # one row per method
     return [{"p": payload["p"], "method": name, "count": value} for name, value in counts.items()]
-
-
-def _construct_rows(payload: dict) -> list[dict]:
-    row = {key: payload[key] for key in ("p", "s", "t", "target_r", "achieved_r")}
-    row["witness_a"] = _joined(payload["witness_a"], " ")
-    row["witness_b"] = _joined(payload["witness_b"], " ")
-    return [row]
-
-
-def _spectrum_rows(payload: dict) -> list[dict]:
-    return [_csv_row(payload)]
 
 
 def _scan_rows(payload: dict) -> list[dict]:
@@ -380,11 +368,11 @@ def _verify_rows(payload: dict) -> list[dict]:
 
 
 _COMMANDS = {  # command -> (runner returning (payload, exit code), CSV rows of the payload)
-    "bounds": (_run_bounds, _bounds_rows),
+    "bounds": (_run_bounds, _single_row),
     "count": (_run_count, _count_rows),
-    "construct": (_run_construct, _construct_rows),
-    "spectrum": (_run_spectrum, _spectrum_rows),
-    "schur": (_run_schur, _spectrum_rows),
+    "construct": (_run_construct, _single_row),
+    "spectrum": (_run_spectrum, _single_row),
+    "schur": (_run_schur, _single_row),
     "scan": (_run_scan, _scan_rows),
     "verify": (_run_verify, _verify_rows),
 }
@@ -424,8 +412,8 @@ def render_json(payload: dict) -> str:
     text between its values as the separator. A list of plain ints is one
     piece, by one ``%`` format: a template with one ``%d`` per item and the
     indented separators between them, applied to the tuple of the items. A
-    list of lists of n >= 1 plain ints each (the ``skipped`` triples of
-    ``scan``) joins one row template per row and applies ``%`` once to all
+    list or tuple of tuples of n >= 1 plain ints each (the ``skipped`` triples
+    of ``scan``) joins one row template per row and applies ``%`` once to all
     the ints; rows of mixed lengths are walked item by item. ``'%d' % x`` is
     ``str(x)`` for an exact int, and raises the same ``ValueError`` past the
     int -> str digit limit, as the block writer does. Dict keys must be strings, as in every payload the
@@ -468,8 +456,8 @@ def _render(value, pad: str, out: list[str] | None = None) -> list[str]:
         if operator.countOf(map(type, value), int) == len(value):
             # '%d' of an exact int is its str; pads hold no '%', keys never reach a template
             out.append(_int_template(len(value), inner, pad) % tuple(value))
-        elif ((n := len(value[0]) if type(value[0]) is list else 0)
-                and operator.countOf(map(type, value), list) == len(value)
+        elif ((n := len(value[0]) if type(value[0]) is tuple else 0)
+                and operator.countOf(map(type, value), tuple) == len(value)
                 and operator.countOf(map(len, value), n) == len(value)
                 and operator.countOf(map(type, chain.from_iterable(value)), int) == n * len(value)):
             # rows of n >= 1 exact ints each, as every int-row payload has: one row template
@@ -583,25 +571,33 @@ def _write_runs(runs, sep: str, out: list[str], descending: bool = False) -> Non
         out[-1] = out[-1][:len(out[-1]) - len(sep)]
 
 
-def _joined(values, sep: str) -> str:
-    """The ints of ``values`` joined by ``sep``; an :class:`IntRuns` by :func:`_write_runs`."""
-    if type(values) is IntRuns:
-        out: list[str] = []
-        _write_runs(values.runs, sep, out)
-        return "".join(out)
-    return sep.join(map(str, values))
+def render_csv(rows: list[dict], out: list[str]) -> list[str]:
+    """Append the CSV text of ``rows`` to ``out`` and return ``out``, as
+    ``csv.DictWriter(..., lineterminator="\\n")`` writes it, or "\\n" for no rows.
 
-
-def render_csv(rows: list[dict]) -> str:
+    The header is the first row's keys, then each row is its cells, joined
+    by ',', each line ending in "\\n". A list cell is its ints joined by
+    ``sep``: " " for ``construct``'s ``witness_a`` and ``witness_b``, ";" for
+    any other list. An :class:`IntRuns` cell goes through :func:`_write_runs`
+    with the same ``sep``, and any other cell is its ``str``. No cell is
+    quoted: the CLI's fields are ints, bools, fixed words and joined ints.
+    """
     if not rows:
-        return "\n"
-    import csv  # imported here, so that a JSON call's start-up does not pay for it
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
+        out.append("\n")
+        return out
+    out.append(",".join(rows[0]))
+    for row in rows:
+        head = "\n"
+        for key, value in row.items():
+            sep = " " if key in ("witness_a", "witness_b") else ";"
+            if type(value) is IntRuns:
+                out.append(head)
+                _write_runs(value.runs, sep, out)
+            else:
+                out.append(head + (sep.join(map(str, value)) if type(value) is list else str(value)))
+            head = ","
+    out.append("\n")
+    return out
 
 
 _parser: _Parser | None = None
@@ -714,8 +710,8 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         _warn(f"addtriples: internal verification failure: {exc}\n")
         return EXIT_VERIFICATION
-    # every piece is built before the first byte is written
-    pieces = _render(payload, "\n") if args.format == "json" else [render_csv(csv_rows(payload))]
+    # every piece, JSON or CSV, is built before the first byte is written
+    pieces = _render(payload, "\n") if args.format == "json" else render_csv(csv_rows(payload), [])
     try:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import enum
 import errno
 import hashlib
@@ -441,12 +442,15 @@ def test_runs_render_as_their_flat_ints(runs, depth):
     payload = {"values": _nested(as_runs, depth), "twice": [as_runs, as_runs], "n": len(flat)}
     listed = {"values": _nested(flat, depth), "twice": [flat, flat], "n": len(flat)}
     assert cli.render_json(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
-    # the CSV derivers give the same rows from the runs as from the listed ints
+    # the CSV writer gives the same text from the runs as from the listed ints
+    def csv_text(payload):
+        return "".join(cli.render_csv(cli._single_row(payload), []))
+
     row = {"p": 2**41 + 1, "s": len(flat), "t": 2, "target_r": 3, "achieved_r": 3}
-    assert (cli._construct_rows({**row, "witness_a": as_runs, "witness_b": IntRuns([(0, 2)])})
-            == cli._construct_rows({**row, "witness_a": flat, "witness_b": [0, 1]}))
-    assert (cli._spectrum_rows({**row, "attained": as_runs, "gaps": IntRuns(), "x": [5]})
-            == cli._spectrum_rows({**row, "attained": flat, "gaps": [], "x": [5]}))
+    assert (csv_text({**row, "witness_a": as_runs, "witness_b": IntRuns([(0, 2)])})
+            == csv_text({**row, "witness_a": flat, "witness_b": [0, 1]}))
+    assert (csv_text({**row, "attained": as_runs, "gaps": IntRuns(), "x": [5]})
+            == csv_text({**row, "attained": flat, "gaps": [], "x": [5]}))
 
 
 def test_runs_refuse_ints_past_the_digit_limit_as_json_dumps_does():
@@ -609,6 +613,54 @@ def test_default_output_digest(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _stdlib_csv(rows):
+    """What ``csv.DictWriter`` writes for ``rows`` with their list and run cells joined,
+    by " " for construct's witnesses and by ";" for any other list; "\\n" for no rows."""
+    if not rows:
+        return "\n"
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({
+            key: (" " if key in ("witness_a", "witness_b") else ";").join(map(str, value))
+            if isinstance(value, (list, IntRuns)) else value
+            for key, value in row.items()
+        })
+    return buffer.getvalue()
+
+
+_COUNT_SETS = ("count", "--p", "9", "--set-a", "0,1,2,4,5,7,8", "--set-b", "0,1,3,4,6,7")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--p", "9", "--s", "7", "--t", "6"),
+    (*_COUNT_SETS, "--method", "shift"),
+    (*_COUNT_SETS, "--method", "all"),
+    ("construct", "--p", "5001", "--s", "4500", "--t", "1500", "--r", "1562250"),
+    ("spectrum", "--p", "9", "--s", "7", "--t", "6", "--witnesses", "--timing"),
+    ("spectrum", "--p", "21", "--s", "9", "--t", "8", "--mode", "fixed-interval-B",
+     "--witnesses", "--timing"),
+    ("spectrum", "--p", "2001", "--s", "1500", "--t", "1800", "--mode", "multiset-dp",
+     "--witnesses", "--timing"),
+    ("schur", "--p", "7", "--s", "3", "--witnesses", "--timing"),
+    ("scan", "--p-min", "9", "--p-max", "9"),
+    ("scan", "--p-min", "11", "--p-max", "11"),  # no composite modulus: no records
+    ("verify", "--p", "7,9", "--trials", "25", "--seed", "7"),
+], ids=["bounds", "count-shift", "count-all", "construct", "exhaustive", "fixed-interval-B",
+        "multiset-dp", "schur", "scan", "scan-no-records", "verify"])
+def test_csv_matches_the_stdlib_writer(capsys, argv):
+    args, _ = cli._parse([*argv, "--format", "csv"])
+    run, derive = cli._COMMANDS[args.command]
+    rows = derive(run(args)[0])
+    assert all(list(row) == list(rows[0]) for row in rows)
+    text = "".join(cli.render_csv(rows, []))
+    assert text == _stdlib_csv(rows)
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert out == text
 
 
 # construct at p = 2^20 + 1 and multiset-dp spectra, JSON and CSV, pinned by sha256
@@ -784,17 +836,19 @@ class _KeepingSink(io.TextIOBase):
 
 
 def test_construct_peak_memory_stays_near_its_output_size():
-    # The pieces main writes are the output's size or so: both calls read 1.01x on
-    # CPython 3.11. Listing a run's ints, or any join or copy of the whole text next
-    # to its pieces, takes the peak to 2x or more.
+    # The pieces main writes, JSON or CSV, are the output's size or so: each call
+    # reads 1.01x to 1.02x on CPython 3.11. Listing a run's ints, or any join or copy
+    # of the whole text next to its pieces, takes the peak to 2x or more; CSV written
+    # through the csv module from joined cells read 7.0x.
     warm = ["--p", "9", "--s", "7", "--t", "6"]  # parser and block texts built first
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["construct", *warm, "--r", "27"]) == 0
-        assert cli.main(["spectrum", *warm, "--mode", "multiset-dp"]) == 0
+        for form in ("json", "csv"):
+            assert cli.main(["construct", *warm, "--r", "27", "--format", form]) == 0
+            assert cli.main(["spectrum", *warm, "--mode", "multiset-dp", "--format", form]) == 0
     multiset_dp = (("spectrum", "--p", "2001", "--s", "1000", "--t", "1000", "--mode",
                     "multiset-dp"),
                    "35df1e2f9dcd58f1fa2f1696689491e19256f657588c0cb38467fb00e1a6800b")
-    for argv, digest in (_RUN_PINS[0], multiset_dp):
+    for argv, digest in (_RUN_PINS[0], multiset_dp, _RUN_PINS[1], _RUN_PINS[3]):
         sink = _KeepingSink()
         tracemalloc.start()
         try:
